@@ -11,7 +11,7 @@ namespace dpc {
 
 namespace {
 
-// One element of a compact chain, root side first (Basic/Advanced).
+// One element of a compact chain (Basic/Advanced).
 struct QStep {
   std::string rule_id;
   NodeId loc = kNullNode;
@@ -19,6 +19,43 @@ struct QStep {
   Vid event_vid{};
   bool has_event_vid = false;
 };
+
+// An immutable list shared by the branches of one query: the head is the
+// step nearest the leaf and `parent` leads back toward the queried output.
+// A fan-out pushes one node per branch onto the shared prefix instead of
+// copying it, and the leaf walks head to root once — the bottom-up order
+// reconstruction needs.
+template <typename Step>
+struct StepList {
+  StepList(Step s, std::shared_ptr<const StepList> p)
+      : step(std::move(s)),
+        parent(std::move(p)),
+        depth(parent ? parent->depth + 1 : 1) {}
+  // Releases an exclusively owned tail iteratively: one nested destructor
+  // per node would overflow the stack on a chain near kMaxDepth.
+  ~StepList() {
+    std::shared_ptr<const StepList> tail = std::move(parent);
+    while (tail && tail.use_count() == 1) {
+      // Sole owner, and nodes are allocated non-const (Push): detach the
+      // next node before this one dies.
+      tail = std::move(const_cast<StepList&>(*tail).parent);
+    }
+  }
+
+  Step step;
+  std::shared_ptr<const StepList> parent;
+  size_t depth;
+};
+template <typename Step>
+using StepListPtr = std::shared_ptr<const StepList<Step>>;
+
+template <typename Step>
+StepListPtr<Step> Push(StepListPtr<Step> parent, Step step) {
+  return std::make_shared<StepList<Step>>(std::move(step), std::move(parent));
+}
+
+using Chain = StepListPtr<QStep>;        // root-side steps of a chain
+using ProvSteps = StepListPtr<ProvStep>;  // ExSPAN steps above a tuple
 
 constexpr size_t kMaxDepth = 100000;
 
@@ -233,16 +270,17 @@ struct Protocol {
     ByteWriter w;
     w.PutU64(id);
     msg.payload = w.Take();
-    // Pad the payload to the carried response size so the per-link
-    // transfer time is realistic.
-    msg.payload.resize(std::max<size_t>(msg.payload.size(),
-                                        carried + cost->request_bytes));
+    // Model the carried response size as padding so the per-link transfer
+    // time is realistic without allocating or hashing the bytes.
+    size_t modeled =
+        std::max(msg.payload.size(), carried + cost->request_bytes);
+    msg.padding = modeled - msg.payload.size();
     if (from != to) ctx->hops += topo->Distance(from, to);
     if (Trace().enabled()) {
       Trace().Instant(from, TraceCat::kQuery, "hop",
                       "\"qid\": " + std::to_string(ctx->qid) +
                           ", \"to\": " + std::to_string(to) +
-                          ", \"bytes\": " + std::to_string(msg.payload.size()));
+                          ", \"bytes\": " + std::to_string(modeled));
     }
     chan->Send(std::move(msg));
   }
@@ -286,16 +324,7 @@ struct Protocol {
       Finish(ctx, ctx->failure);
       return;
     }
-    // Deduplicate identical derivations found through different branches.
-    std::sort(ctx->trees.begin(), ctx->trees.end(),
-              [](const ProvTree& a, const ProvTree& b) {
-                ByteWriter wa, wb;
-                a.Serialize(wa);
-                b.Serialize(wb);
-                return wa.bytes() < wb.bytes();
-              });
-    ctx->trees.erase(std::unique(ctx->trees.begin(), ctx->trees.end()),
-                     ctx->trees.end());
+    SortAndDedupTrees(ctx->trees);
     if (ctx->trees.empty()) {
       Finish(ctx, Status::NotFound("no derivation found for " +
                                    ctx->output.ToString()));
@@ -384,9 +413,10 @@ struct Protocol {
   }
 
   // Executes one chain step at `at.loc`; owns one branch token.
-  void ChainStep(CtxPtr ctx, NodeRid at, std::vector<QStep> chain,
-                 Vid target_evid, size_t carried) {
-    if (chain.size() > kMaxDepth) {
+  void ChainStep(CtxPtr ctx, NodeRid at, Chain chain, Vid target_evid,
+                 size_t carried) {
+    size_t depth = chain ? chain->depth : 0;
+    if (depth > kMaxDepth) {
       Fail(ctx, Status::Internal("query exceeded depth limit"));
       return;
     }
@@ -406,7 +436,7 @@ struct Protocol {
       Trace().Instant(at.loc, TraceCat::kQuery, "chain_step",
                       "\"qid\": " + std::to_string(ctx->qid) +
                           ", \"rows\": " + std::to_string(rows.size()) +
-                          ", \"depth\": " + std::to_string(chain.size()));
+                          ", \"depth\": " + std::to_string(depth));
     }
     ctx->pending += static_cast<int>(rows.size()) - 1;
     // Charge what the rows actually occupy on the wire: a fixed ruleExec
@@ -423,9 +453,8 @@ struct Protocol {
     After(delay, [this, ctx, at, rows = std::move(rows),
                   chain = std::move(chain), target_evid, carried]() mutable {
       for (auto& [step, next] : rows) {
-        std::vector<QStep> branch_chain = chain;
-        size_t branch_carried = carried + 96 * (branch_chain.size() + 1);
-        branch_chain.push_back(step);
+        Chain branch_chain = Push(chain, std::move(step));
+        size_t branch_carried = carried + 96 * branch_chain->depth;
         if (next.IsNull()) {
           FinishChain(ctx, at.loc, std::move(branch_chain), target_evid,
                       branch_carried);
@@ -444,9 +473,9 @@ struct Protocol {
 
   // Leaf reached at `leaf_loc`: retrieve the event, ship the response to
   // the origin, reconstruct there. Owns one branch token.
-  void FinishChain(CtxPtr ctx, NodeId leaf_loc, std::vector<QStep> chain,
-                   Vid target_evid, size_t carried) {
-    const QStep& leaf = chain.back();
+  void FinishChain(CtxPtr ctx, NodeId leaf_loc, Chain chain, Vid target_evid,
+                   size_t carried) {
+    const QStep& leaf = chain->step;
     Vid evid = target_evid;
     if (impl->kind == DistributedQuerier::Impl::Kind::kBasic) {
       if (!leaf.has_event_vid) {
@@ -475,15 +504,16 @@ struct Protocol {
          [this, ctx, chain = std::move(chain),
           event_copy = std::move(event_copy)]() mutable {
            // Step 2 (§4): bottom-up re-execution at the querying node.
-           double delay = static_cast<double>(chain.size()) *
+           double delay = static_cast<double>(chain->depth) *
                           cost->per_rederivation_s;
            After(delay, [this, ctx, chain = std::move(chain),
                          event_copy = std::move(event_copy)]() {
              ProvTree tree;
              tree.set_event(event_copy);
              Tuple current = event_copy;
-             for (size_t i = chain.size(); i-- > 0;) {
-               const QStep& step = chain[i];
+             for (const StepList<QStep>* node = chain.get(); node != nullptr;
+                  node = node->parent.get()) {
+               const QStep& step = node->step;
                const Rule* rule = impl->program->FindRule(step.rule_id);
                if (rule == nullptr) {
                  Release(ctx);
@@ -543,7 +573,7 @@ struct Protocol {
       Vid target_evid = row->evid;
       Send(ctx, ctx->origin, at.loc, cost->request_bytes,
            [this, ctx, at, target_evid]() {
-             ChainStep(ctx, at, {}, target_evid, 0);
+             ChainStep(ctx, at, nullptr, target_evid, 0);
            });
     }
   }
@@ -551,11 +581,10 @@ struct Protocol {
   // --- ExSPAN ----------------------------------------------------------
 
   // Walks the prov/ruleExec rows for `vid` at `loc`; `above` holds the
-  // steps already collected between the output and this tuple (output
-  // side first). Owns one branch token.
-  void ExspanStep(CtxPtr ctx, Vid vid, NodeId loc,
-                  std::vector<ProvStep> above, size_t carried,
-                  size_t depth) {
+  // steps already collected between the output and this tuple (the head
+  // is the step nearest this tuple). Owns one branch token.
+  void ExspanStep(CtxPtr ctx, Vid vid, NodeId loc, ProvSteps above,
+                  size_t carried, size_t depth) {
     if (depth > kMaxDepth) {
       Fail(ctx, Status::Internal("query exceeded depth limit"));
       return;
@@ -593,7 +622,7 @@ struct Protocol {
       for (const ProvEntry* row : prov_rows) {
         if (row->rule.IsNull()) {
           // Base/input leaf: the derivation is complete.
-          if (above.empty()) {
+          if (!above) {
             // The queried tuple itself is a base tuple: no derivation.
             Release(ctx);
             continue;
@@ -602,7 +631,12 @@ struct Protocol {
             Release(ctx);
             continue;
           }
-          std::vector<ProvStep> steps(above.rbegin(), above.rend());
+          std::vector<ProvStep> steps;  // leaf first
+          steps.reserve(above->depth);
+          for (const StepList<ProvStep>* node = above.get(); node != nullptr;
+               node = node->parent.get()) {
+            steps.push_back(node->step);
+          }
           ProvTree tree(tuple_copy, std::move(steps));
           Send(ctx, loc, ctx->origin, new_carried,
                [this, ctx, tree = std::move(tree)]() mutable {
@@ -624,7 +658,7 @@ struct Protocol {
     });
   }
 
-  void ExpandRuleExec(CtxPtr ctx, NodeRid at, std::vector<ProvStep> above,
+  void ExpandRuleExec(CtxPtr ctx, NodeRid at, ProvSteps above,
                       Tuple derived, size_t carried, size_t depth) {
     auto execs = impl->exspan->RuleExecAt(at.loc).FindByRid(at.rid);
     if (execs.empty()) {
@@ -654,8 +688,8 @@ struct Protocol {
         slow.push_back(*st);
       }
       if (!ok) continue;
-      std::vector<ProvStep> next_above = above;
-      next_above.push_back(ProvStep{exec->rule_id, derived, slow});
+      ProvSteps next_above =
+          Push(above, ProvStep{exec->rule_id, derived, std::move(slow)});
       double delay = ProcessingDelay(exec->vids.size(), slow_bytes);
       Vid event_vid = exec->vids[0];
       NodeId rloc = exec->rloc;
@@ -671,7 +705,7 @@ struct Protocol {
 
   void StartExspan(CtxPtr ctx) {
     ctx->pending = 1;
-    ExspanStep(ctx, ctx->output.Vid(), ctx->origin, {}, 0, 0);
+    ExspanStep(ctx, ctx->output.Vid(), ctx->origin, nullptr, 0, 0);
   }
 };
 

@@ -47,6 +47,24 @@ Result<Tuple> ReExecuteRule(const Rule& rule, const Tuple& event,
   return InstantiateAtom(rule.head, env);
 }
 
+void SortAndDedupTrees(std::vector<ProvTree>& trees) {
+  std::vector<std::pair<std::vector<uint8_t>, size_t>> keyed;
+  keyed.reserve(trees.size());
+  for (size_t i = 0; i < trees.size(); ++i) {
+    ByteWriter w;
+    trees[i].Serialize(w);
+    keyed.emplace_back(w.Take(), i);
+  }
+  std::sort(keyed.begin(), keyed.end());
+  std::vector<ProvTree> out;
+  out.reserve(keyed.size());
+  for (size_t k = 0; k < keyed.size(); ++k) {
+    if (k > 0 && keyed[k].first == keyed[k - 1].first) continue;
+    out.push_back(std::move(trees[keyed[k].second]));
+  }
+  trees = std::move(out);
+}
+
 namespace {
 
 constexpr size_t kMaxWalkDepth = 100000;
@@ -93,13 +111,18 @@ class Accounting {
   NodeId pos() const { return pos_; }
 
  private:
+  // Sums the links of the a -> b route in path order, following NextHop in
+  // place rather than materializing the path.
   double TransferLatency(NodeId a, NodeId b, size_t bytes) const {
-    std::vector<NodeId> path = topo_->Path(a, b);
     double t = 0;
-    for (size_t i = 0; i + 1 < path.size(); ++i) {
-      const LinkProps& link = topo_->Link(path[i], path[i + 1]);
+    if (topo_->Distance(a, b) < 0) return t;
+    for (NodeId cur = a; cur != b;) {
+      NodeId next = topo_->NextHop(cur, b);
+      DPC_CHECK(next != kNullNode);
+      const LinkProps& link = topo_->Link(cur, next);
       t += link.latency_s +
            static_cast<double>(bytes) * 8.0 / link.bandwidth_bps;
+      cur = next;
     }
     return t;
   }
@@ -527,16 +550,7 @@ Result<QueryResult> AdvancedQuerier::Query(const Tuple& output,
   }
   acct.ReturnToQuerier();
 
-  // Deduplicate identical derivations found through different branches.
-  std::sort(res.trees.begin(), res.trees.end(),
-            [](const ProvTree& a, const ProvTree& b) {
-              ByteWriter wa, wb;
-              a.Serialize(wa);
-              b.Serialize(wb);
-              return wa.bytes() < wb.bytes();
-            });
-  res.trees.erase(std::unique(res.trees.begin(), res.trees.end()),
-                  res.trees.end());
+  SortAndDedupTrees(res.trees);
 
   if (res.trees.empty()) {
     return Status::NotFound("no derivation found for " + output.ToString());

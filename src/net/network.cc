@@ -22,13 +22,25 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// FNV-1a over the message identity fields, for sends that did not assign
-// a tx_id themselves. `| 1` keeps 0 meaning "unassigned".
+constexpr uint64_t kFnvPrime = 1099511628211ULL;
+
+// FNV-1a over `n` zero bytes: each step is `h ^= 0; h *= P`, so the run
+// folds to h * P^n (mod 2^64), computed by square-and-multiply.
+uint64_t FnvZeros(uint64_t h, uint64_t n) {
+  for (uint64_t p = kFnvPrime; n != 0; n >>= 1, p *= p) {
+    if (n & 1) h *= p;
+  }
+  return h;
+}
+
+// FNV-1a over the message identity fields and its wire bytes (payload,
+// then the modeled zero padding), for sends that did not assign a tx_id
+// themselves. `| 1` keeps 0 meaning "unassigned".
 uint64_t ContentTxId(const Message& msg) {
   uint64_t h = 1469598103934665603ULL;
   auto mix_byte = [&h](uint8_t b) {
     h ^= b;
-    h *= 1099511628211ULL;
+    h *= kFnvPrime;
   };
   mix_byte(static_cast<uint8_t>(msg.kind));
   for (int shift = 0; shift < 32; shift += 8) {
@@ -36,12 +48,12 @@ uint64_t ContentTxId(const Message& msg) {
     mix_byte(static_cast<uint8_t>(static_cast<uint32_t>(msg.dst) >> shift));
   }
   for (uint8_t b : msg.payload) mix_byte(b);
-  return h | 1;
+  return FnvZeros(h, msg.padding) | 1;
 }
 }  // namespace
 
 size_t Message::WireSize() const {
-  return kMessageHeaderBytes + payload.size();
+  return kMessageHeaderBytes + payload.size() + padding;
 }
 
 Network::Network(const Topology* topology, EventQueue* queue)

@@ -57,6 +57,14 @@ struct Message {
   // the final hop's queue entry; intermediate hops stay untagged.
   uint64_t batch_tag = 0;
   std::vector<uint8_t> payload;
+  // Simulation-local modeled padding: `padding` zero bytes that follow
+  // `payload` on the wire but are never stored. WireSize() charges them,
+  // so bandwidth buckets and per-hop transfer delays see them, and the
+  // content tx_id hashes them as zeros, so loss draws do too: the message
+  // behaves exactly like `payload` followed by `padding` real zero bytes.
+  // Senders that model a response size without shipping its bytes (the
+  // distributed querier) set this instead of growing `payload`.
+  size_t padding = 0;
 
   size_t WireSize() const;
 };

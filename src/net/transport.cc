@@ -82,6 +82,7 @@ void ReliableTransport::Send(Message msg) {
   p.frame.src = msg.src;
   p.frame.dst = msg.dst;
   p.frame.payload = WrapPayload(kDataFrame, seq, msg.payload);
+  p.frame.padding = msg.padding;  // charged on every attempt, never stored
   p.original = std::move(msg);
   p.rto_s = options_.initial_rto_s;
   p.frame.tx_id = FrameTxId(src, seq, 1, /*ack=*/false);
@@ -92,7 +93,8 @@ void ReliableTransport::Send(Message msg) {
     Trace().AsyncBegin(p.frame.src, TraceCat::kTransport, "frame", seq,
                        "\"dst\": " + std::to_string(p.frame.dst) +
                            ", \"bytes\": " +
-                           std::to_string(p.frame.payload.size()));
+                           std::to_string(p.frame.payload.size() +
+                                          p.frame.padding));
   }
   TransmitFrame(p.frame);
   sender.pending.emplace(seq, std::move(p));
@@ -214,6 +216,7 @@ void ReliableTransport::OnNetworkDelivery(const Message& msg) {
   original.src = msg.src;
   original.dst = msg.dst;
   original.payload.assign(msg.payload.begin() + 9, msg.payload.end());
+  original.padding = msg.padding;
   if (handler_) handler_(original);
 }
 

@@ -52,26 +52,38 @@ TEST(ValueTest, ToString) {
   EXPECT_EQ(Value::Str("data").ToString(), "\"data\"");
 }
 
-class ValueRoundTrip : public ::testing::TestWithParam<Value> {};
-
-TEST_P(ValueRoundTrip, SerializeDeserialize) {
+void ExpectRoundTrip(const Value& value) {
   ByteWriter w;
-  GetParam().Serialize(w);
-  EXPECT_EQ(w.size(), GetParam().SerializedSize());
+  value.Serialize(w);
+  EXPECT_EQ(w.size(), value.SerializedSize());
   ByteReader r(w.bytes());
   auto v = Value::Deserialize(r);
   ASSERT_TRUE(v.ok());
-  EXPECT_EQ(*v, GetParam());
+  EXPECT_EQ(*v, value);
   EXPECT_TRUE(r.AtEnd());
 }
+
+class ValueRoundTrip : public ::testing::TestWithParam<Value> {};
+
+TEST_P(ValueRoundTrip, SerializeDeserialize) { ExpectRoundTrip(GetParam()); }
 
 INSTANTIATE_TEST_SUITE_P(
     Values, ValueRoundTrip,
     ::testing::Values(Value::Int(0), Value::Int(-1), Value::Int(1),
                       Value::Int(1LL << 40), Value::Int(-(1LL << 40)),
-                      Value::Str(""), Value::Str("hello"),
-                      Value::Str(std::string(1000, 'x')),
                       Value::Bool(true)));
+
+// String cases are parameterized by length: gtest prints a Value as its raw
+// bytes, which for a string begin with a heap pointer, so test names derived
+// from a string Value would differ from run to run.
+class StringValueRoundTrip : public ::testing::TestWithParam<size_t> {};
+
+TEST_P(StringValueRoundTrip, SerializeDeserialize) {
+  ExpectRoundTrip(Value::Str(std::string(GetParam(), 'x')));
+}
+
+INSTANTIATE_TEST_SUITE_P(Strings, StringValueRoundTrip,
+                         ::testing::Values(0, 5, 1000));
 
 TEST(ValueTest, DeserializeRejectsBadTag) {
   std::vector<uint8_t> bytes{0x77};

@@ -269,5 +269,60 @@ TEST(MessageTest, WireSizeIncludesHeader) {
   EXPECT_EQ(m.WireSize(), 100 + kMessageHeaderBytes);
 }
 
+// Modeled padding must be indistinguishable on the wire from the same
+// number of real trailing zero bytes: the same WireSize, content tx_id,
+// per-hop arrival times, bandwidth buckets and, under loss, the same
+// surviving transmissions.
+TEST_F(NetworkTest, PaddingActsLikeRealZeroBytes) {
+  struct Outcome {
+    std::vector<std::pair<uint64_t, double>> arrivals;  // (tx_id, time)
+    uint64_t bytes = 0;
+    uint64_t dropped = 0;
+    std::vector<uint64_t> buckets;
+    bool operator==(const Outcome&) const = default;
+  };
+  auto make = [](int i, size_t n, bool modeled) {
+    Message m;
+    m.src = 0;
+    m.dst = 3;
+    m.payload = {static_cast<uint8_t>(i), 0x5A, static_cast<uint8_t>(i * 7)};
+    if (modeled) {
+      m.padding = n;
+    } else {
+      m.payload.resize(m.payload.size() + n, 0);
+    }
+    return m;
+  };
+  auto run = [&](size_t n, bool modeled, double loss) {
+    EventQueue q;
+    Network net(&topo_, &q);
+    net.set_bucket_width_s(0.01);
+    if (loss > 0) net.SetLossRate(loss, /*seed=*/5);
+    Outcome out;
+    net.SetDeliveryHandler([&](const Message& m) {
+      EXPECT_EQ(m.padding, modeled ? n : 0u);
+      out.arrivals.emplace_back(m.tx_id, q.now());
+    });
+    for (int i = 0; i < 24; ++i) net.Send(make(i, n, modeled));
+    q.RunAll();
+    out.bytes = net.total_bytes_sent();
+    out.dropped = net.dropped_messages();
+    out.buckets = net.bucket_bytes();
+    return out;
+  };
+  for (size_t n : {size_t{0}, size_t{1}, size_t{7}, size_t{64}, size_t{4096},
+                   size_t{1} << 20}) {
+    SCOPED_TRACE("padding " + std::to_string(n));
+    EXPECT_EQ(make(0, n, true).WireSize(), make(0, n, false).WireSize());
+    Outcome lossless = run(n, true, 0);
+    ASSERT_EQ(lossless.arrivals.size(), 24u);
+    EXPECT_EQ(lossless, run(n, false, 0));
+    Outcome lossy = run(n, true, 0.3);
+    EXPECT_GT(lossy.arrivals.size(), 0u);
+    EXPECT_LT(lossy.arrivals.size(), 24u);
+    EXPECT_EQ(lossy, run(n, false, 0.3));
+  }
+}
+
 }  // namespace
 }  // namespace dpc

@@ -194,5 +194,83 @@ TEST_F(TransportTest, DeterministicPerSeed) {
   EXPECT_EQ(std::get<0>(run(9)), 25u);
 }
 
+// Transport header prepended to every frame: type byte + u64 sequence.
+constexpr size_t kFrameHeaderBytes = 9;
+
+TEST_F(TransportTest, PaddingSurvivesWrapAndUnwrap) {
+  MakeTransport();
+  Message m = MakeMsg(0, 3, 0xAB);
+  m.padding = 500;
+  transport_->Send(std::move(m));
+  queue_.RunAll();
+  ASSERT_EQ(delivered_.size(), 1u);
+  EXPECT_EQ(delivered_[0].payload, std::vector<uint8_t>(16, 0xAB));
+  EXPECT_EQ(delivered_[0].padding, 500u);
+  // Three hops of the padded data frame, three of the bare ack.
+  EXPECT_EQ(net_->total_bytes_sent(),
+            3 * (kMessageHeaderBytes + kFrameHeaderBytes + 16 + 500) +
+                3 * (kMessageHeaderBytes + kFrameHeaderBytes));
+}
+
+TEST_F(TransportTest, PaddingIsChargedOnEveryAttempt) {
+  TransportOptions options;
+  options.initial_rto_s = 0.1;
+  options.max_attempts = 4;
+  MakeTransport(options);
+  std::vector<Message> failed;
+  transport_->SetFailureHandler(
+      [&](const Message& m) { failed.push_back(m); });
+  ASSERT_TRUE(net_->SetLinkUp(0, 1, false).ok());
+  Message m = MakeMsg(0, 1, 0x11);
+  m.padding = 1000;
+  transport_->Send(std::move(m));
+  queue_.RunAll();
+  EXPECT_EQ(transport_->stats().retransmissions, 3u);
+  // Each of the four attempts is charged, padding included, on the downed
+  // link that drops it.
+  EXPECT_EQ(net_->total_bytes_sent(),
+            4 * (kMessageHeaderBytes + kFrameHeaderBytes + 16 + 1000));
+  ASSERT_EQ(failed.size(), 1u);
+  EXPECT_EQ(failed[0].padding, 1000u);
+}
+
+TEST_F(TransportTest, PaddedRetransmissionsMatchRealZeroBytes) {
+  // Under loss, a padded run and one that ships the same zeros for real
+  // must deliver the same bytes at the same times, with the same
+  // retransmissions, acks, bytes, drops and bandwidth buckets.
+  auto run = [&](bool modeled) {
+    EventQueue q;
+    Network net(&topo_, &q);
+    net.SetLossRate(0.4, /*seed=*/9);
+    TransportOptions options;
+    options.max_attempts = 0;
+    ReliableTransport transport(&net, &q, options);
+    std::vector<std::pair<std::vector<uint8_t>, double>> got;
+    transport.SetDeliveryHandler([&](const Message& msg) {
+      std::vector<uint8_t> bytes = msg.payload;
+      bytes.resize(bytes.size() + msg.padding, 0);
+      got.emplace_back(std::move(bytes), q.now());
+    });
+    for (int i = 0; i < 20; ++i) {
+      Message msg = MakeMsg(0, 3, static_cast<uint8_t>(i));
+      if (modeled) {
+        msg.padding = 777;
+      } else {
+        msg.payload.resize(msg.payload.size() + 777, 0);
+      }
+      transport.Send(std::move(msg));
+    }
+    q.RunAll();
+    return std::make_tuple(got, net.total_bytes_sent(),
+                           net.dropped_messages(), net.bucket_bytes(),
+                           transport.stats().retransmissions,
+                           transport.stats().acks_sent);
+  };
+  auto modeled = run(true);
+  EXPECT_EQ(std::get<0>(modeled).size(), 20u);
+  EXPECT_GT(std::get<4>(modeled), 0u);
+  EXPECT_EQ(modeled, run(false));
+}
+
 }  // namespace
 }  // namespace dpc

@@ -42,6 +42,7 @@
 //
 // `--stats` also works in plain run mode to print the metrics registry
 // after the script completes.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -331,14 +332,10 @@ int RunScript(const RunConfig& config) {
   auto script_text = ReadFile(config.script_path);
   if (!script_text.ok()) return Fail(script_text.status().ToString());
 
-  ProgramOptions options;
-  options.name = config.program_path;
-  options.relations_of_interest = config.interests;
-  auto program = Program::Parse(*source, options);
-  if (!program.ok()) return Fail(program.status().ToString());
-
-  // First pass over the script: topology declarations.
+  // First pass over the script: topology declarations and relations of
+  // interest, which the program must know before it is parsed.
   Topology topo;
+  std::vector<std::string> interests = config.interests;
   std::vector<std::string> lines;
   {
     std::istringstream ss(*script_text);
@@ -362,6 +359,15 @@ int RunScript(const RunConfig& config) {
         Status st = topo.AddLink(a, b, props);
         if (!st.ok()) return Fail("line " + std::to_string(lineno) + ": " +
                                   st.ToString());
+      } else if (cmd == "interest") {
+        std::string rel;
+        ls >> rel;
+        if (rel.empty()) return Fail("interest needs a relation on line " +
+                                     std::to_string(lineno));
+        if (std::find(interests.begin(), interests.end(), rel) ==
+            interests.end()) {
+          interests.push_back(rel);
+        }
       } else {
         lines.push_back(line);
       }
@@ -369,6 +375,12 @@ int RunScript(const RunConfig& config) {
   }
   if (topo.num_nodes() == 0) return Fail("script declares no nodes");
   topo.ComputeRoutes();
+
+  ProgramOptions options;
+  options.name = config.program_path;
+  options.relations_of_interest = std::move(interests);
+  auto program = Program::Parse(*source, options);
+  if (!program.ok()) return Fail(program.status().ToString());
 
   apps::TestbedOptions bed_options;
   bed_options.trace_path = config.trace_out;
