@@ -9,69 +9,19 @@
 
 namespace dpc {
 
-namespace {
-
-// One element of a compact chain (Basic/Advanced).
-struct QStep {
-  std::string rule_id;
-  NodeId loc = kNullNode;
-  std::vector<Tuple> slow;
-  Vid event_vid{};
-  bool has_event_vid = false;
-};
-
-// An immutable list shared by the branches of one query: the head is the
-// step nearest the leaf and `parent` leads back toward the queried output.
-// A fan-out pushes one node per branch onto the shared prefix instead of
-// copying it, and the leaf walks head to root once — the bottom-up order
-// reconstruction needs.
-template <typename Step>
-struct StepList {
-  StepList(Step s, std::shared_ptr<const StepList> p)
-      : step(std::move(s)),
-        parent(std::move(p)),
-        depth(parent ? parent->depth + 1 : 1) {}
-  // Releases an exclusively owned tail iteratively: one nested destructor
-  // per node would overflow the stack on a chain near kMaxDepth.
-  ~StepList() {
-    std::shared_ptr<const StepList> tail = std::move(parent);
-    while (tail && tail.use_count() == 1) {
-      // Sole owner, and nodes are allocated non-const (Push): detach the
-      // next node before this one dies.
-      tail = std::move(const_cast<StepList&>(*tail).parent);
-    }
-  }
-
-  Step step;
-  std::shared_ptr<const StepList> parent;
-  size_t depth;
-};
-template <typename Step>
-using StepListPtr = std::shared_ptr<const StepList<Step>>;
-
-template <typename Step>
-StepListPtr<Step> Push(StepListPtr<Step> parent, Step step) {
-  return std::make_shared<StepList<Step>>(std::move(step), std::move(parent));
-}
-
-using Chain = StepListPtr<QStep>;        // root-side steps of a chain
-using ProvSteps = StepListPtr<ProvStep>;  // ExSPAN steps above a tuple
-
-constexpr size_t kMaxDepth = 100000;
-
-}  // namespace
-
 struct DistributedQuerier::Impl {
-  enum class Kind { kExspan, kBasic, kAdvanced };
-  Kind kind = Kind::kBasic;
-  const ExspanRecorder* exspan = nullptr;
-  const BasicRecorder* basic = nullptr;
-  const AdvancedRecorder* advanced = nullptr;
-  const Program* program = nullptr;
-  const FunctionRegistry* fns = nullptr;
+  explicit Impl(QueryWalk w) : walk(std::move(w)) {}
 
-  // One in-flight query.
-  struct Ctx {
+  QueryWalk walk;
+
+  // One in-flight query; the walk charges its reads here.
+  struct Ctx final : QueryMeter {
+    void Charge(size_t e, size_t b) override {
+      entries += e;
+      bytes += b;
+    }
+    const Vid* evid_ptr() const { return evid ? &*evid : nullptr; }
+
     Tuple output;
     std::optional<Vid> evid;
     NodeId origin = kNullNode;
@@ -96,15 +46,13 @@ struct DistributedQuerier::Impl {
   std::shared_ptr<void> protocol;
 };
 
-DistributedQuerier::DistributedQuerier(const Topology* topology,
-                                       EventQueue* queue,
+DistributedQuerier::DistributedQuerier(QueryWalk walk, EventQueue* queue,
                                        QueryCostModel cost)
-    : topology_(topology),
+    : topology_(&walk.topology()),
       queue_(queue),
       cost_(cost),
-      net_(topology, queue),
-      impl_(std::make_unique<Impl>()) {
-  DPC_CHECK(topology_ != nullptr);
+      net_(topology_, queue),
+      impl_(std::make_unique<Impl>(std::move(walk))) {
   DPC_CHECK(queue_ != nullptr);
   net_.SetDeliveryHandler([this](const Message& msg) {
     Status st = HandleMessage(msg);
@@ -133,42 +81,24 @@ void DistributedQuerier::EnableReliableTransport(TransportOptions options) {
 std::unique_ptr<DistributedQuerier> DistributedQuerier::ForExspan(
     const ExspanRecorder* recorder, const Topology* topology,
     EventQueue* queue, QueryCostModel cost) {
-  DPC_CHECK(recorder != nullptr);
-  std::unique_ptr<DistributedQuerier> q(
-      new DistributedQuerier(topology, queue, cost));
-  q->impl_->kind = Impl::Kind::kExspan;
-  q->impl_->exspan = recorder;
-  return q;
+  return std::unique_ptr<DistributedQuerier>(new DistributedQuerier(
+      QueryWalk::ForExspan(recorder, topology), queue, cost));
 }
 
 std::unique_ptr<DistributedQuerier> DistributedQuerier::ForBasic(
     const BasicRecorder* recorder, const Program* program,
     const FunctionRegistry* fns, const Topology* topology, EventQueue* queue,
     QueryCostModel cost) {
-  DPC_CHECK(recorder != nullptr);
-  DPC_CHECK(program != nullptr);
-  DPC_CHECK(fns != nullptr);
-  std::unique_ptr<DistributedQuerier> q(
-      new DistributedQuerier(topology, queue, cost));
-  q->impl_->kind = Impl::Kind::kBasic;
-  q->impl_->basic = recorder;
-  q->impl_->program = program;
-  q->impl_->fns = fns;
-  return q;
+  return std::unique_ptr<DistributedQuerier>(new DistributedQuerier(
+      QueryWalk::ForBasic(recorder, program, fns, topology), queue, cost));
 }
 
 std::unique_ptr<DistributedQuerier> DistributedQuerier::ForAdvanced(
     const AdvancedRecorder* recorder, const Program* program,
     const FunctionRegistry* fns, const Topology* topology, EventQueue* queue,
     QueryCostModel cost) {
-  DPC_CHECK(recorder != nullptr);
-  std::unique_ptr<DistributedQuerier> q(
-      new DistributedQuerier(topology, queue, cost));
-  q->impl_->kind = Impl::Kind::kAdvanced;
-  q->impl_->advanced = recorder;
-  q->impl_->program = program;
-  q->impl_->fns = fns;
-  return q;
+  return std::unique_ptr<DistributedQuerier>(new DistributedQuerier(
+      QueryWalk::ForAdvanced(recorder, program, fns, topology), queue, cost));
 }
 
 Status DistributedQuerier::HandleMessage(const Message& msg) {
@@ -219,7 +149,7 @@ struct Protocol {
   EventQueue* queue;
   MessageChannel* chan;
   const QueryCostModel* cost;
-  DistributedQuerier::Impl* impl;
+  const QueryWalk* walk;
   std::unordered_map<uint64_t, DistributedQuerier::Continuation>*
       continuations;
   uint64_t* next_id;
@@ -289,11 +219,6 @@ struct Protocol {
     queue->ScheduleAfter(delay, std::move(fn));
   }
 
-  void Fetch(const CtxPtr& ctx, size_t entries, size_t bytes) {
-    ctx->entries += entries;
-    ctx->bytes += bytes;
-  }
-
   double ProcessingDelay(size_t entries, size_t bytes) const {
     return static_cast<double>(entries) * cost->per_entry_s +
            static_cast<double>(bytes) * cost->per_processed_byte_s;
@@ -324,10 +249,9 @@ struct Protocol {
       Finish(ctx, ctx->failure);
       return;
     }
-    SortAndDedupTrees(ctx->trees);
-    if (ctx->trees.empty()) {
-      Finish(ctx, Status::NotFound("no derivation found for " +
-                                   ctx->output.ToString()));
+    Status answered = walk->Finish(ctx->output, ctx->trees);
+    if (!answered.ok()) {
+      Finish(ctx, std::move(answered));
       return;
     }
     QueryResult res;
@@ -339,165 +263,87 @@ struct Protocol {
     Finish(ctx, std::move(res));
   }
 
-  // --- chain schemes (Basic / Advanced) ------------------------------------
+  // --- chain shape (Basic / Advanced) ------------------------------------
 
-  // Scheme-specific row expansion at (loc, rid).
-  Status RowsFor(const CtxPtr& ctx, const NodeRid& at,
-                 std::vector<std::pair<QStep, NodeRid>>& out) {
-    if (impl->kind == DistributedQuerier::Impl::Kind::kBasic) {
-      for (const RuleExecEntry* exec :
-           impl->basic->RuleExecAt(at.loc).FindByRid(at.rid)) {
-        Fetch(ctx, 1, exec->SerializedSize(true));
-        QStep step;
-        step.rule_id = exec->rule_id;
-        step.loc = exec->rloc;
-        size_t slow_begin = 0;
-        if (exec->next.IsNull()) {
-          if (exec->vids.empty()) {
-            return Status::Internal("leaf ruleExec row without event vid");
-          }
-          step.event_vid = exec->vids[0];
-          step.has_event_vid = true;
-          slow_begin = 1;
-        }
-        for (size_t i = slow_begin; i < exec->vids.size(); ++i) {
-          const Tuple* st =
-              impl->basic->TuplesAt(exec->rloc).Find(exec->vids[i]);
-          if (st == nullptr) {
-            return Status::NotFound("unresolvable slow-tuple vid");
-          }
-          Fetch(ctx, 1, st->SerializedSize());
-          step.slow.push_back(*st);
-        }
-        out.emplace_back(std::move(step), exec->next);
-      }
-      return Status::OK();
-    }
-    // Advanced (with or without the §5.4 split).
-    auto add_step = [&](const std::string& rule_id, NodeId rloc,
-                        const std::vector<Vid>& vids,
-                        const NodeRid& next) -> Status {
-      QStep step;
-      step.rule_id = rule_id;
-      step.loc = rloc;
-      for (const Vid& v : vids) {
-        const Tuple* st = impl->advanced->TuplesAt(rloc).Find(v);
-        if (st == nullptr) {
-          return Status::NotFound("unresolvable slow-tuple vid");
-        }
-        Fetch(ctx, 1, st->SerializedSize());
-        step.slow.push_back(*st);
-      }
-      out.emplace_back(std::move(step), next);
-      return Status::OK();
-    };
-    if (impl->advanced->inter_class_sharing()) {
-      const RuleExecNodeEntry* node =
-          impl->advanced->RuleExecNodesAt(at.loc).FindByRid(at.rid);
-      if (node == nullptr) return Status::OK();
-      for (const RuleExecLinkEntry* link :
-           impl->advanced->RuleExecLinksAt(at.loc).FindByRid(at.rid)) {
-        Fetch(ctx, 2, node->SerializedSize() + link->SerializedSize());
-        DPC_RETURN_NOT_OK(
-            add_step(node->rule_id, node->rloc, node->vids, link->next));
-      }
-      return Status::OK();
-    }
-    for (const RuleExecEntry* exec :
-         impl->advanced->RuleExecAt(at.loc).FindByRid(at.rid)) {
-      Fetch(ctx, 1, exec->SerializedSize(true));
-      DPC_RETURN_NOT_OK(
-          add_step(exec->rule_id, exec->rloc, exec->vids, exec->next));
-    }
-    return Status::OK();
-  }
-
-  // Executes one chain step at `at.loc`; owns one branch token.
-  void ChainStep(CtxPtr ctx, NodeRid at, Chain chain, Vid target_evid,
-                 size_t carried) {
-    size_t depth = chain ? chain->depth : 0;
-    if (depth > kMaxDepth) {
-      Fail(ctx, Status::Internal("query exceeded depth limit"));
-      return;
-    }
-    std::vector<std::pair<QStep, NodeRid>> rows;
-    Status st = RowsFor(ctx, at, rows);
+  // Reads the output's prov rows at the origin and sends one frame per
+  // chain root. Owns one branch token.
+  void StartChain(const CtxPtr& ctx) {
+    std::vector<ChainRoot> roots;
+    Status st = walk->ReadRoots(ctx->output, ctx->evid_ptr(), *ctx, roots);
     if (!st.ok()) {
       Fail(ctx, std::move(st));
       return;
     }
-    if (rows.empty()) {
-      // Dangling reference: this branch dies (Theorem 5 guarantees the
-      // true chain survives elsewhere).
-      Release(ctx);
+    if (roots.empty()) {
+      Release(ctx);  // every root belongs to another event: NotFound
+      return;
+    }
+    ctx->pending += static_cast<int>(roots.size()) - 1;
+    for (const ChainRoot& root : roots) {
+      Send(ctx, ctx->origin, root.at.loc, cost->request_bytes,
+           [this, ctx, root]() {
+             ChainStep(ctx, root.at, nullptr, root.evid, 0);
+           });
+    }
+  }
+
+  // Executes one chain step at `at.loc`; owns one branch token.
+  void ChainStep(CtxPtr ctx, NodeRid at, ChainPath chain, Vid root_evid,
+                 size_t carried) {
+    std::vector<WalkRow> rows;
+    Status st = walk->ReadRule(at, PathDepth(chain), *ctx, rows);
+    if (!st.ok()) {
+      Fail(ctx, std::move(st));
       return;
     }
     if (Trace().enabled()) {
       Trace().Instant(at.loc, TraceCat::kQuery, "chain_step",
                       "\"qid\": " + std::to_string(ctx->qid) +
                           ", \"rows\": " + std::to_string(rows.size()) +
-                          ", \"depth\": " + std::to_string(depth));
+                          ", \"depth\": " +
+                          std::to_string(PathDepth(chain)));
     }
     ctx->pending += static_cast<int>(rows.size()) - 1;
     // Charge what the rows actually occupy on the wire: a fixed ruleExec
     // frame plus the serialized slow tuples (not their count).
     size_t row_bytes = 0;
-    for (const auto& [step, _] : rows) {
+    for (const WalkRow& row : rows) {
       row_bytes += 64;
-      for (const Tuple& st_tuple : step.slow) {
-        row_bytes += st_tuple.SerializedSize();
-      }
+      for (const Tuple& slow : row.slow) row_bytes += slow.SerializedSize();
     }
     double delay = ProcessingDelay(rows.size(), row_bytes);
 
     After(delay, [this, ctx, at, rows = std::move(rows),
-                  chain = std::move(chain), target_evid, carried]() mutable {
-      for (auto& [step, next] : rows) {
-        Chain branch_chain = Push(chain, std::move(step));
-        size_t branch_carried = carried + 96 * branch_chain->depth;
+                  chain = std::move(chain), root_evid, carried]() mutable {
+      for (WalkRow& row : rows) {
+        ChainPath branch = PushStep(chain, std::move(row));
+        size_t branch_carried = carried + 96 * branch->depth;
+        NodeRid next = branch->step.next;
         if (next.IsNull()) {
-          FinishChain(ctx, at.loc, std::move(branch_chain), target_evid,
+          FinishChain(ctx, at.loc, std::move(branch), root_evid,
                       branch_carried);
-        } else {
-          NodeRid next_ref = next;
-          Send(ctx, at.loc, next_ref.loc, branch_carried,
-               [this, ctx, next_ref, bc = std::move(branch_chain),
-                target_evid, branch_carried]() mutable {
-                 ChainStep(ctx, next_ref, std::move(bc), target_evid,
-                           branch_carried);
-               });
+          continue;
         }
+        Send(ctx, at.loc, next.loc, branch_carried,
+             [this, ctx, next, branch = std::move(branch), root_evid,
+              branch_carried]() mutable {
+               ChainStep(ctx, next, std::move(branch), root_evid,
+                         branch_carried);
+             });
       }
     });
   }
 
   // Leaf reached at `leaf_loc`: retrieve the event, ship the response to
   // the origin, reconstruct there. Owns one branch token.
-  void FinishChain(CtxPtr ctx, NodeId leaf_loc, Chain chain, Vid target_evid,
-                   size_t carried) {
-    const QStep& leaf = chain->step;
-    Vid evid = target_evid;
-    if (impl->kind == DistributedQuerier::Impl::Kind::kBasic) {
-      if (!leaf.has_event_vid) {
-        Fail(ctx, Status::Internal("Basic chain leaf lacks an event vid"));
-        return;
-      }
-      evid = leaf.event_vid;
-      if (ctx->evid.has_value() && evid != *ctx->evid) {
-        Release(ctx);  // filtered out
-        return;
-      }
-    }
-    const TupleStore& events =
-        impl->kind == DistributedQuerier::Impl::Kind::kBasic
-            ? impl->basic->EventsAt(leaf.loc)
-            : impl->advanced->EventsAt(leaf.loc);
-    const Tuple* event = events.Find(evid);
+  void FinishChain(CtxPtr ctx, NodeId leaf_loc, ChainPath chain,
+                   Vid root_evid, size_t carried) {
+    const Tuple* event =
+        walk->LeafEvent(chain->step, root_evid, ctx->evid_ptr(), *ctx);
     if (event == nullptr) {
-      Release(ctx);  // another class's branch (§5.6 EVID filter)
+      Release(ctx);  // another event's branch
       return;
     }
-    Fetch(ctx, 1, event->SerializedSize());
     Tuple event_copy = *event;
     size_t response = carried + event_copy.SerializedSize();
     Send(ctx, leaf_loc, ctx->origin, response,
@@ -508,204 +354,110 @@ struct Protocol {
                           cost->per_rederivation_s;
            After(delay, [this, ctx, chain = std::move(chain),
                          event_copy = std::move(event_copy)]() {
-             ProvTree tree;
-             tree.set_event(event_copy);
-             Tuple current = event_copy;
-             for (const StepList<QStep>* node = chain.get(); node != nullptr;
-                  node = node->parent.get()) {
-               const QStep& step = node->step;
-               const Rule* rule = impl->program->FindRule(step.rule_id);
-               if (rule == nullptr) {
-                 Release(ctx);
-                 return;
-               }
-               Result<Tuple> head =
-                   ReExecuteRule(*rule, current, step.slow, *impl->fns);
-               if (!head.ok()) {
-                 Release(ctx);  // spurious branch, pruned
-                 return;
-               }
-               tree.AppendStep(ProvStep{step.rule_id, *head, step.slow});
-               current = *head;
-             }
-             if (!tree.empty() && tree.Output() == ctx->output) {
-               ctx->trees.push_back(std::move(tree));
+             Result<size_t> rederived = walk->Reconstruct(
+                 chain, event_copy, ctx->output, ctx->trees);
+             if (!rederived.ok()) {
+               Fail(ctx, rederived.status());
+               return;
              }
              Release(ctx);
            });
          });
   }
 
-  void StartChain(CtxPtr ctx) {
-    const ProvTable& prov =
-        impl->kind == DistributedQuerier::Impl::Kind::kBasic
-            ? impl->basic->ProvAt(ctx->origin)
-            : impl->advanced->ProvAt(ctx->origin);
-    auto rows = prov.FindByVid(ctx->output.Vid());
-    if (rows.empty()) {
-      ctx->pending = 1;
-      Fail(ctx, Status::NotFound("no prov entry for " +
-                                 ctx->output.ToString()));
-      return;
-    }
-    bool with_evid = impl->kind == DistributedQuerier::Impl::Kind::kAdvanced;
-    // Rows are variable-length (per-row rule references and evids): charge
-    // each row's own serialized size rather than assuming uniformity.
-    for (const ProvEntry* row : rows) {
-      Fetch(ctx, 1, row->SerializedSize(with_evid));
-    }
-    std::vector<const ProvEntry*> selected;
-    for (const ProvEntry* row : rows) {
-      if (with_evid && ctx->evid.has_value() && row->evid != *ctx->evid) {
-        continue;
-      }
-      selected.push_back(row);
-    }
-    if (selected.empty()) {
-      ctx->pending = 1;
-      Fail(ctx, Status::NotFound("no derivation found for " +
-                                 ctx->output.ToString()));
-      return;
-    }
-    ctx->pending = static_cast<int>(selected.size());
-    for (const ProvEntry* row : selected) {
-      NodeRid at = row->rule;
-      Vid target_evid = row->evid;
-      Send(ctx, ctx->origin, at.loc, cost->request_bytes,
-           [this, ctx, at, target_evid]() {
-             ChainStep(ctx, at, nullptr, target_evid, 0);
-           });
-    }
-  }
+  // --- materialized shape (ExSPAN) ---------------------------------------
 
-  // --- ExSPAN ----------------------------------------------------------
-
-  // Walks the prov/ruleExec rows for `vid` at `loc`; `above` holds the
-  // steps already collected between the output and this tuple (the head
-  // is the step nearest this tuple). Owns one branch token.
-  void ExspanStep(CtxPtr ctx, Vid vid, NodeId loc, ProvSteps above,
-                  size_t carried, size_t depth) {
-    if (depth > kMaxDepth) {
-      Fail(ctx, Status::Internal("query exceeded depth limit"));
+  // Reads the tuple `vid` at `loc`; `above` holds the steps already
+  // collected between the output and this tuple (the head is the step
+  // nearest this tuple). Owns one branch token.
+  void ExspanStep(CtxPtr ctx, Vid vid, NodeId loc, TuplePath above,
+                  size_t carried) {
+    std::vector<NodeRid> rules;
+    Result<const Tuple*> tuple =
+        walk->ReadTuple(vid, loc, PathDepth(above), *ctx, rules);
+    if (!tuple.ok()) {
+      Fail(ctx, tuple.status());
       return;
-    }
-    const Tuple* tuple = impl->exspan->TuplesAt(loc).Find(vid);
-    if (tuple == nullptr) tuple = impl->exspan->EventsAt(loc).Find(vid);
-    if (tuple == nullptr) {
-      Fail(ctx, Status::NotFound("no materialized tuple for vid"));
-      return;
-    }
-    Fetch(ctx, 1, tuple->SerializedSize());
-    auto prov_rows = impl->exspan->ProvAt(loc).FindByVid(vid);
-    if (prov_rows.empty()) {
-      Fail(ctx, Status::NotFound("no prov entry for vid"));
-      return;
-    }
-    for (const ProvEntry* row : prov_rows) {
-      Fetch(ctx, 1, row->SerializedSize(false));
     }
     if (Trace().enabled()) {
       Trace().Instant(loc, TraceCat::kQuery, "exspan_step",
                       "\"qid\": " + std::to_string(ctx->qid) +
-                          ", \"rows\": " + std::to_string(prov_rows.size()) +
-                          ", \"depth\": " + std::to_string(depth));
+                          ", \"rows\": " + std::to_string(rules.size()) +
+                          ", \"depth\": " +
+                          std::to_string(PathDepth(above)));
     }
-    ctx->pending += static_cast<int>(prov_rows.size()) - 1;
-    double delay = ProcessingDelay(1 + prov_rows.size(),
-                                   tuple->SerializedSize());
-    Tuple tuple_copy = *tuple;
-    size_t new_carried = carried + tuple_copy.SerializedSize() + 44;
+    ctx->pending += static_cast<int>(rules.size()) - 1;
+    Tuple tuple_copy = **tuple;
+    size_t tuple_bytes = tuple_copy.SerializedSize();
+    double delay = ProcessingDelay(1 + rules.size(), tuple_bytes);
+    size_t new_carried = carried + tuple_bytes + 44;
 
-    After(delay, [this, ctx, loc, prov_rows, above = std::move(above),
-                  tuple_copy = std::move(tuple_copy), new_carried,
-                  depth]() mutable {
-      for (const ProvEntry* row : prov_rows) {
-        if (row->rule.IsNull()) {
-          // Base/input leaf: the derivation is complete.
-          if (!above) {
-            // The queried tuple itself is a base tuple: no derivation.
-            Release(ctx);
-            continue;
-          }
-          if (ctx->evid.has_value() && tuple_copy.Vid() != *ctx->evid) {
-            Release(ctx);
-            continue;
-          }
-          std::vector<ProvStep> steps;  // leaf first
-          steps.reserve(above->depth);
-          for (const StepList<ProvStep>* node = above.get(); node != nullptr;
-               node = node->parent.get()) {
-            steps.push_back(node->step);
-          }
-          ProvTree tree(tuple_copy, std::move(steps));
-          Send(ctx, loc, ctx->origin, new_carried,
-               [this, ctx, tree = std::move(tree)]() mutable {
-                 if (tree.Output() == ctx->output) {
-                   ctx->trees.push_back(std::move(tree));
-                 }
-                 Release(ctx);
+    After(delay, [this, ctx, loc, rules = std::move(rules),
+                  above = std::move(above),
+                  tuple_copy = std::move(tuple_copy), new_carried]() {
+      for (const NodeRid& rule : rules) {
+        if (!rule.IsNull()) {
+          Send(ctx, loc, rule.loc, new_carried,
+               [this, ctx, rule, above, tuple_copy, new_carried]() {
+                 ExpandRuleExec(ctx, rule, above, tuple_copy, new_carried);
                });
           continue;
         }
-        NodeRid rule_ref = row->rule;
-        Send(ctx, loc, rule_ref.loc, new_carried,
-             [this, ctx, rule_ref, above, tuple_copy, new_carried,
-              depth]() mutable {
-               ExpandRuleExec(ctx, rule_ref, std::move(above),
-                              std::move(tuple_copy), new_carried, depth);
+        // Base tuple: the derivation is complete.
+        std::optional<ProvTree> tree =
+            walk->BaseTree(tuple_copy, above, ctx->evid_ptr());
+        if (!tree.has_value()) {
+          Release(ctx);
+          continue;
+        }
+        Send(ctx, loc, ctx->origin, new_carried,
+             [this, ctx, tree = std::move(*tree)]() mutable {
+               ctx->trees.push_back(std::move(tree));
+               Release(ctx);
              });
       }
     });
   }
 
-  void ExpandRuleExec(CtxPtr ctx, NodeRid at, ProvSteps above,
-                      Tuple derived, size_t carried, size_t depth) {
-    auto execs = impl->exspan->RuleExecAt(at.loc).FindByRid(at.rid);
-    if (execs.empty()) {
-      Fail(ctx, Status::NotFound("dangling RID"));
+  // Expands the rule executions at `at` that derived `derived`; each
+  // continues at the tuple it consumed. Owns one branch token.
+  void ExpandRuleExec(const CtxPtr& ctx, const NodeRid& at,
+                      const TuplePath& above, const Tuple& derived,
+                      size_t carried) {
+    std::vector<WalkRow> rows;
+    Status st = walk->ReadRule(at, PathDepth(above), *ctx, rows);
+    if (!st.ok()) {
+      Fail(ctx, std::move(st));
       return;
     }
-    ctx->pending += static_cast<int>(execs.size()) - 1;
-    for (const RuleExecEntry* exec : execs) {
-      Fetch(ctx, 1, exec->SerializedSize(false));
-      if (exec->vids.empty()) {
-        Fail(ctx, Status::Internal("ExSPAN ruleExec row without vids"));
-        continue;
-      }
-      std::vector<Tuple> slow;
-      bool ok = true;
+    ctx->pending += static_cast<int>(rows.size()) - 1;
+    for (WalkRow& row : rows) {
       size_t slow_bytes = 0;
-      for (size_t i = 1; i < exec->vids.size(); ++i) {
-        const Tuple* st = impl->exspan->TuplesAt(exec->rloc).Find(
-            exec->vids[i]);
-        if (st == nullptr) {
-          Fail(ctx, Status::NotFound("unresolvable slow-tuple vid"));
-          ok = false;
-          break;
-        }
-        Fetch(ctx, 1, st->SerializedSize());
-        slow_bytes += st->SerializedSize();
-        slow.push_back(*st);
-      }
-      if (!ok) continue;
-      ProvSteps next_above =
-          Push(above, ProvStep{exec->rule_id, derived, std::move(slow)});
-      double delay = ProcessingDelay(exec->vids.size(), slow_bytes);
-      Vid event_vid = exec->vids[0];
-      NodeId rloc = exec->rloc;
-      size_t next_carried = carried + slow_bytes + 64;
-      After(delay, [this, ctx, event_vid, rloc,
-                    next_above = std::move(next_above), next_carried,
-                    depth]() mutable {
-        ExspanStep(ctx, event_vid, rloc, std::move(next_above),
-                   next_carried, depth + 1);
+      for (const Tuple& slow : row.slow) slow_bytes += slow.SerializedSize();
+      double delay = ProcessingDelay(1 + row.slow.size(), slow_bytes);
+      TuplePath next_above =
+          PushStep(above, ProvStep{std::move(row.rule_id), derived,
+                                   std::move(row.slow)});
+      After(delay, [this, ctx, vid = row.vid, loc = row.loc,
+                    next_above = std::move(next_above),
+                    next_carried = carried + slow_bytes + 64]() mutable {
+        ExspanStep(ctx, vid, loc, std::move(next_above), next_carried);
       });
     }
   }
 
-  void StartExspan(CtxPtr ctx) {
+  // Runs at the origin when the query launches; hands the query's first
+  // branch token to the walk's shape.
+  void Start(const CtxPtr& ctx) {
     ctx->pending = 1;
-    ExspanStep(ctx, ctx->output.Vid(), ctx->origin, nullptr, 0, 0);
+    Status target = walk->CheckTarget(ctx->output);
+    if (!target.ok()) {
+      Fail(ctx, std::move(target));
+    } else if (walk->materialized()) {
+      ExspanStep(ctx, ctx->output.Vid(), ctx->origin, nullptr, 0);
+    } else {
+      StartChain(ctx);
+    }
   }
 };
 
@@ -726,7 +478,7 @@ void DistributedQuerier::QueryAsync(const Tuple& output, const Vid* evid,
         transport_ != nullptr ? static_cast<MessageChannel*>(transport_.get())
                               : &net_;
     auto* proto = new Protocol{this,  topology_,       queue_,
-                               chan,  &cost_,          impl_.get(),
+                               chan,  &cost_,          &impl_->walk,
                                &continuations_, &next_continuation_};
     impl_->protocol = std::shared_ptr<void>(
         proto, [](void* p) { delete static_cast<Protocol*>(p); });
@@ -740,11 +492,7 @@ void DistributedQuerier::QueryAsync(const Tuple& output, const Vid* evid,
       Trace().AsyncBegin(ctx->origin, TraceCat::kQuery, "query", ctx->qid,
                          "\"output\": \"" + ctx->output.relation() + "\"");
     }
-    if (impl_->kind == Impl::Kind::kExspan) {
-      proto->StartExspan(ctx);
-    } else {
-      proto->StartChain(ctx);
-    }
+    proto->Start(ctx);
   });
   if (deadline_s > 0) {
     // The deadline completes the callback even when loss or a partition

@@ -4,10 +4,14 @@
 // the event queue — propagation, per-link transfer of the accumulated
 // response, and processing delays all accrue in simulated time.
 //
-// Unlike the analytic model in query.h (which charges a sequential
-// depth-first walk), branch fan-outs here proceed in parallel, so the
-// completion time is the max over branches — what a real deployment would
-// observe. Trees returned are identical to the analytic querier's.
+// DistributedQuerier is the event-queue driver of the scheme's QueryWalk
+// (query_walk.h): the walk decides what each step reads and charges and
+// how a leaf becomes a tree; this driver turns the steps into kQuery
+// frames and processing delays. The analytic ProvenanceQuerier (query.h)
+// drives the same walk depth-first, so both return the same trees,
+// entries and bytes. Here, though, branch fan-outs proceed in parallel,
+// so the completion time is the max over branches — what a real
+// deployment would observe.
 //
 // Fault tolerance: by default query frames ride the raw (lossy) Network.
 // EnableReliableTransport() layers ack/retransmit/dedup delivery
@@ -106,8 +110,7 @@ class DistributedQuerier {
   };
 
  private:
-  DistributedQuerier(const Topology* topology, EventQueue* queue,
-                     QueryCostModel cost);
+  DistributedQuerier(QueryWalk walk, EventQueue* queue, QueryCostModel cost);
 
   void HandleDeliveryFailure(const Message& msg);
 

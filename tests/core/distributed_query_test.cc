@@ -86,16 +86,6 @@ TEST_P(DistributedQueryTest, TreesMatchAnalyticQuerier) {
   // ExSPAN and Basic queries identify derivations by tuple alone.
   bool use_evid = GetParam() == Scheme::kAdvanced ||
                   GetParam() == Scheme::kAdvancedInterClass;
-  auto sorted = [](std::vector<ProvTree> trees) {
-    std::sort(trees.begin(), trees.end(),
-              [](const ProvTree& a, const ProvTree& b) {
-                ByteWriter wa, wb;
-                a.Serialize(wa);
-                b.Serialize(wb);
-                return wa.bytes() < wb.bytes();
-              });
-    return trees;
-  };
   size_t checked = 0;
   for (const OutputRecord& out : bed_->system().AllOutputs()) {
     Vid evid = out.meta.evid;
@@ -104,7 +94,12 @@ TEST_P(DistributedQueryTest, TreesMatchAnalyticQuerier) {
     ASSERT_TRUE(expected.ok()) << expected.status().ToString();
     auto got = distributed->QueryAndWait(out.tuple, evid_ptr);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(sorted(got->trees), sorted(expected->trees))
+    // One traversal behind both engines: the same trees in the same
+    // order, and the same rows read.
+    EXPECT_EQ(got->trees, expected->trees) << out.tuple.ToString();
+    EXPECT_EQ(got->entries_touched, expected->entries_touched)
+        << out.tuple.ToString();
+    EXPECT_EQ(got->bytes_transferred, expected->bytes_transferred)
         << out.tuple.ToString();
     EXPECT_GT(got->latency_s, 0);
     ++checked;
@@ -145,16 +140,6 @@ TEST_P(DistributedQueryTest, ReliableTransportMatchesAnalyticUnderLoss) {
   auto analytic = bed_->MakeQuerier();
   bool use_evid = GetParam() == Scheme::kAdvanced ||
                   GetParam() == Scheme::kAdvancedInterClass;
-  auto sorted = [](std::vector<ProvTree> trees) {
-    std::sort(trees.begin(), trees.end(),
-              [](const ProvTree& a, const ProvTree& b) {
-                ByteWriter wa, wb;
-                a.Serialize(wa);
-                b.Serialize(wb);
-                return wa.bytes() < wb.bytes();
-              });
-    return trees;
-  };
   size_t checked = 0;
   for (const OutputRecord& out : bed_->system().AllOutputs()) {
     Vid evid = out.meta.evid;
@@ -163,7 +148,7 @@ TEST_P(DistributedQueryTest, ReliableTransportMatchesAnalyticUnderLoss) {
     ASSERT_TRUE(expected.ok());
     auto got = distributed->QueryAndWait(out.tuple, evid_ptr);
     ASSERT_TRUE(got.ok()) << got.status().ToString();
-    EXPECT_EQ(sorted(got->trees), sorted(expected->trees));
+    EXPECT_EQ(got->trees, expected->trees);
     ++checked;
   }
   EXPECT_GT(checked, 10u);

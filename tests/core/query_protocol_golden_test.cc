@@ -1,16 +1,19 @@
-// Golden pin of the distributed query protocol's simulated results (§5.6).
+// Golden pin of both query engines' simulated results (§5.6).
 //
-// The protocol's wall-clock cost may change; what it reports may not. For
+// The engines' wall-clock cost may change; what they report may not. For
 // forwarding and DNS under ExSPAN, Basic, Advanced and Advanced with
 // inter-class sharing, each run queries every output in order and records
-//   * per query: the measured latency_s (exact, as a hex float), hops,
+//   * per query: the reported latency_s (exact, as a hex float), hops,
 //     entries touched, bytes transferred and the SHA-1 of the serialized
 //     trees in result order (or the failure code);
-//   * per run: the querier network's bytes, messages, drops and
-//     bucket_bytes, plus the reliable transport's retransmissions and acks.
-// Each run is made lossless, at 20% loss over ReliableTransport, and at 2%
-// raw loss, and must reproduce its section of
-// tests/golden/query_protocol.golden line for line.
+//   * per distributed run: the querier network's bytes, messages, drops
+//     and bucket_bytes, plus the reliable transport's retransmissions and
+//     acks.
+// The distributed protocol runs lossless, at 20% loss over
+// ReliableTransport, and at 2% raw loss; the `local` runs query the
+// analytic cost model through Testbed::MakeQuerier(). Every run must
+// reproduce its section of tests/golden/query_protocol.golden line for
+// line.
 //
 // Regenerate only for a change that is meant to move simulated results:
 //   DPC_UPDATE_GOLDEN=1 ./build/tests/query_protocol_golden_test
@@ -38,7 +41,7 @@ using apps::Scheme;
 using apps::Testbed;
 
 enum class Workload { kForwarding, kDns };
-enum class Mode { kLossless, kReliable20, kRaw2 };
+enum class Mode { kLossless, kReliable20, kRaw2, kLocal };
 
 struct Config {
   Workload workload;
@@ -59,6 +62,7 @@ std::string ConfigName(const Config& c) {
     case Mode::kLossless: name += "_lossless"; break;
     case Mode::kReliable20: name += "_reliable20"; break;
     case Mode::kRaw2: name += "_raw2"; break;
+    case Mode::kLocal: name += "_local"; break;
   }
   return name;
 }
@@ -201,6 +205,39 @@ std::string RunSection(const Config& c) {
     graph = &universe.graph;
     bed = BuildDns(universe, c.scheme);
   }
+  bool use_evid = c.scheme == Scheme::kAdvanced ||
+                  c.scheme == Scheme::kAdvancedInterClass;
+  std::ostringstream out;
+  out << "== " << ConfigName(c) << " ==\n";
+  // Renders one line per output, querying each through `query`.
+  auto query_all = [&](auto&& query) {
+    int index = 0;
+    for (const OutputRecord& rec : bed->system().AllOutputs()) {
+      Vid evid = rec.meta.evid;
+      Result<QueryResult> res = query(rec.tuple, use_evid ? &evid : nullptr);
+      char latency[64];
+      if (res.ok()) {
+        std::snprintf(latency, sizeof(latency), "%a", res->latency_s);
+        out << "q" << index << " latency=" << latency << " hops=" << res->hops
+            << " entries=" << res->entries_touched
+            << " bytes=" << res->bytes_transferred
+            << " trees=" << res->trees.size() << ":"
+            << TreesDigest(res->trees) << "\n";
+      } else {
+        out << "q" << index
+            << " failed=" << StatusCodeName(res.status().code()) << "\n";
+      }
+      ++index;
+    }
+  };
+  if (c.mode == Mode::kLocal) {
+    auto local = bed->MakeQuerier();
+    query_all([&](const Tuple& t, const Vid* evid) {
+      return local->Query(t, evid);
+    });
+    return out.str();
+  }
+
   auto querier = MakeQuerier(*bed, graph);
   if (c.mode == Mode::kReliable20) {
     querier->network().SetLossRate(0.2, /*seed=*/17);
@@ -210,29 +247,9 @@ std::string RunSection(const Config& c) {
   } else if (c.mode == Mode::kRaw2) {
     querier->network().SetLossRate(0.02, /*seed=*/29);
   }
-  bool use_evid = c.scheme == Scheme::kAdvanced ||
-                  c.scheme == Scheme::kAdvancedInterClass;
-
-  std::ostringstream out;
-  out << "== " << ConfigName(c) << " ==\n";
-  int index = 0;
-  for (const OutputRecord& rec : bed->system().AllOutputs()) {
-    Vid evid = rec.meta.evid;
-    auto res = querier->QueryAndWait(rec.tuple, use_evid ? &evid : nullptr);
-    char latency[64];
-    if (res.ok()) {
-      std::snprintf(latency, sizeof(latency), "%a", res->latency_s);
-      out << "q" << index << " latency=" << latency << " hops=" << res->hops
-          << " entries=" << res->entries_touched
-          << " bytes=" << res->bytes_transferred
-          << " trees=" << res->trees.size() << ":" << TreesDigest(res->trees)
-          << "\n";
-    } else {
-      out << "q" << index
-          << " failed=" << StatusCodeName(res.status().code()) << "\n";
-    }
-    ++index;
-  }
+  query_all([&](const Tuple& t, const Vid* evid) {
+    return querier->QueryAndWait(t, evid);
+  });
   const Network& net = querier->network();
   out << "net bytes=" << net.total_bytes_sent()
       << " messages=" << net.total_messages()
@@ -276,7 +293,8 @@ std::vector<Config> AllConfigs() {
   for (Workload w : {Workload::kForwarding, Workload::kDns}) {
     for (Scheme s : {Scheme::kExspan, Scheme::kBasic, Scheme::kAdvanced,
                      Scheme::kAdvancedInterClass}) {
-      for (Mode m : {Mode::kLossless, Mode::kReliable20, Mode::kRaw2}) {
+      for (Mode m : {Mode::kLossless, Mode::kReliable20, Mode::kRaw2,
+                     Mode::kLocal}) {
         out.push_back(Config{w, s, m});
       }
     }
