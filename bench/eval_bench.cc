@@ -1,22 +1,20 @@
-// Microbenchmark: naive FireRule (full table scans per condition atom)
-// vs the planner's FireRulePlanned (greedy join order + lazily built hash
-// indexes) vs set-at-a-time FireRuleBatched (one plan execution per batch
-// of same-relation events) on a two-way join rule. Prints a JSON report;
-// the checked-in snapshot lives at BENCH_eval.json.
+// Microbenchmark: the naive oracle FireRule (full table scans per
+// condition atom) vs the runtime's rule executor (CompiledRule: the rule
+// compiled once into positional ops over lazily built hash indexes)
+// applied per event — a batch of one, as every lone dispatch runs it —
+// vs the same executor applied once over a batch of same-relation events.
+// Prints a JSON report; the checked-in snapshot lives at BENCH_eval.json.
 //
 //   r1 h(@L, A, B, C) :- e(@L, A), s1(@L, A, B), s2(@L, B, C).
 //
 // Every event matches exactly one s1 row, which selects exactly one s2
 // row: the naive evaluator still scans both tables per event, while the
-// planned evaluator does two O(1) index probes. Below the crossover
-// (tables of <= kNaiveCrossoverRows rows) the planned path falls through
-// to the naive scan — at that size the scan beats index maintenance, so
-// the rows=10 case reports speedup ~1 rather than the former regression.
-// The batch case evaluates the plan once over 10k same-timestamp events:
-// shared executor scratch plus group-probed first keys amortize the
-// per-event setup the planned path pays 10k times.
+// executor does two O(1) index probes. The batch case evaluates 10k
+// same-timestamp events (each of 1,000 keys ten times) in one call: the
+// per-call scratch and each key group's first probe are shared.
 #include <chrono>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -35,10 +33,10 @@ constexpr char kRuleText[] =
 struct CaseResult {
   int rows = 0;
   double naive_us_per_event = 0;
-  double planned_us_per_event = 0;
+  double executor_us_per_event = 0;
   double batched_us_per_event = 0;
-  double speedup = 0;          // naive / planned
-  double batched_speedup = 0;  // planned / batched
+  double speedup = 0;          // naive / executor
+  double batched_speedup = 0;  // executor / batched
 };
 
 double MicrosPerEvent(const std::vector<Tuple>& events, size_t iters,
@@ -54,23 +52,28 @@ double MicrosPerEvent(const std::vector<Tuple>& events, size_t iters,
   return us / static_cast<double>(iters * events.size());
 }
 
-// One FireRuleBatched call over the whole event set per iteration — the
-// runtime's batch path when all events land at one simulated instant.
-double MicrosPerEventBatched(const Rule& rule, const RulePlan& plan,
+// The executor over one event: what a dispatch that drains no peers runs.
+size_t FireOne(const CompiledRule& rule, const Tuple& event,
+               const Database& db) {
+  std::vector<BatchEventFirings> out = rule.FireBatch({&event}, db);
+  DPC_CHECK(out.front().status.ok());
+  return out.front().firings.size();
+}
+
+// One FireBatch call over the whole event set per iteration — the
+// runtime's path when all events land at one simulated instant.
+double MicrosPerEventBatched(const CompiledRule& rule,
                              const std::vector<Tuple>& events,
-                             const Database& db, const FunctionRegistry& fns,
-                             size_t iters) {
+                             const Database& db, size_t iters) {
   std::vector<const Tuple*> batch;
   batch.reserve(events.size());
   for (const Tuple& ev : events) batch.push_back(&ev);
   size_t total_firings = 0;
   auto start = std::chrono::steady_clock::now();
   for (size_t it = 0; it < iters; ++it) {
-    std::vector<BatchEventFirings> out =
-        FireRuleBatched(rule, plan, batch, db, fns);
-    for (size_t i = 0; i < out.size(); ++i) {
-      DPC_CHECK(out[i].status.ok());
-      total_firings += FiringsOf(out, i).size();
+    for (const BatchEventFirings& r : rule.FireBatch(batch, db)) {
+      DPC_CHECK(r.status.ok());
+      total_firings += r.firings.size();
     }
   }
   auto end = std::chrono::steady_clock::now();
@@ -87,29 +90,25 @@ void FillDb(Database& db, int rows) {
   }
 }
 
-// Warm-up: verifies all three evaluators agree and builds the lazy
-// indexes outside the timed region (as the runtime would after the first
-// event).
-void WarmAndCheck(const Rule& rule, const RulePlan& plan,
-                  const std::vector<Tuple>& events, const Database& db,
-                  const FunctionRegistry& fns) {
+// Warm-up: verifies all three ways agree and builds the lazy indexes
+// outside the timed region (as the runtime would after the first event).
+void WarmAndCheck(const Rule& rule, const CompiledRule& compiled,
+                  const std::vector<Tuple>& events, const Database& db) {
   std::vector<const Tuple*> batch;
   for (const Tuple& ev : events) batch.push_back(&ev);
-  std::vector<BatchEventFirings> batched =
-      FireRuleBatched(rule, plan, batch, db, fns);
+  std::vector<BatchEventFirings> batched = compiled.FireBatch(batch, db);
   for (size_t i = 0; i < events.size(); ++i) {
-    auto naive = FireRule(rule, events[i], db, fns);
-    auto planned = FireRulePlanned(rule, plan, events[i], db, fns);
-    const std::vector<RuleFiring>& bfirings = FiringsOf(batched, i);
-    DPC_CHECK(naive.ok() && planned.ok() && batched[i].status.ok());
-    DPC_CHECK(naive->size() == 1 && planned->size() == 1 &&
-              bfirings.size() == 1);
-    DPC_CHECK(naive->front().head == planned->front().head);
-    DPC_CHECK(naive->front().head == bfirings.front().head);
+    auto naive = FireRule(rule, events[i], db, FunctionRegistry{});
+    std::vector<BatchEventFirings> one = compiled.FireBatch({&events[i]}, db);
+    DPC_CHECK(naive.ok() && one[0].status.ok() && batched[i].status.ok());
+    DPC_CHECK(naive->size() == 1 && one[0].firings.size() == 1 &&
+              batched[i].firings.size() == 1);
+    DPC_CHECK(naive->front().head == one[0].firings.front().head);
+    DPC_CHECK(naive->front().head == batched[i].firings.front().head);
   }
 }
 
-CaseResult RunCase(const Rule& rule, const RulePlan& plan, int rows,
+CaseResult RunCase(const Rule& rule, const CompiledRule& compiled, int rows,
                    size_t iters) {
   Database db;
   FillDb(db, rows);
@@ -117,31 +116,31 @@ CaseResult RunCase(const Rule& rule, const RulePlan& plan, int rows,
   for (int a = 0; a < rows; a += (rows > 64 ? rows / 64 : 1)) {
     events.push_back(Tuple::Make("e", 0, {Value::Int(a)}));
   }
-  FunctionRegistry fns;
-  WarmAndCheck(rule, plan, events, db, fns);
+  WarmAndCheck(rule, compiled, events, db);
 
   CaseResult res;
   res.rows = rows;
+  FunctionRegistry fns;
   res.naive_us_per_event = MicrosPerEvent(events, iters, [&](const Tuple& ev) {
     return FireRule(rule, ev, db, fns)->size();
   });
-  res.planned_us_per_event =
+  res.executor_us_per_event =
       MicrosPerEvent(events, iters, [&](const Tuple& ev) {
-        return FireRulePlanned(rule, plan, ev, db, fns)->size();
+        return FireOne(compiled, ev, db);
       });
   res.batched_us_per_event =
-      MicrosPerEventBatched(rule, plan, events, db, fns, iters);
-  res.speedup = res.naive_us_per_event / res.planned_us_per_event;
-  res.batched_speedup = res.planned_us_per_event / res.batched_us_per_event;
+      MicrosPerEventBatched(compiled, events, db, iters);
+  res.speedup = res.naive_us_per_event / res.executor_us_per_event;
+  res.batched_speedup = res.executor_us_per_event / res.batched_us_per_event;
   return res;
 }
 
-// The headline case: 10k events of one relation at one simulated instant
-// against an above-crossover table — the runtime drains them into a
-// single batch, so the comparison is one FireRuleBatched call vs 10k
-// FireRulePlanned calls.
-CaseResult RunBatchCase(const Rule& rule, const RulePlan& plan, int rows,
-                        int num_events, size_t iters) {
+// The headline batch case: 10k events of one relation at one simulated
+// instant against a 1,000-row table — the runtime drains them into a
+// single batch, so the comparison is one FireBatch call vs 10k
+// batches of one.
+CaseResult RunBatchCase(const Rule& rule, const CompiledRule& compiled,
+                        int rows, int num_events, size_t iters) {
   Database db;
   FillDb(db, rows);
   std::vector<Tuple> events;
@@ -149,18 +148,17 @@ CaseResult RunBatchCase(const Rule& rule, const RulePlan& plan, int rows,
   for (int i = 0; i < num_events; ++i) {
     events.push_back(Tuple::Make("e", 0, {Value::Int(i % rows)}));
   }
-  FunctionRegistry fns;
-  WarmAndCheck(rule, plan, events, db, fns);
+  WarmAndCheck(rule, compiled, events, db);
 
   CaseResult res;
   res.rows = rows;
-  res.planned_us_per_event =
+  res.executor_us_per_event =
       MicrosPerEvent(events, iters, [&](const Tuple& ev) {
-        return FireRulePlanned(rule, plan, ev, db, fns)->size();
+        return FireOne(compiled, ev, db);
       });
   res.batched_us_per_event =
-      MicrosPerEventBatched(rule, plan, events, db, fns, iters);
-  res.batched_speedup = res.planned_us_per_event / res.batched_us_per_event;
+      MicrosPerEventBatched(compiled, events, db, iters);
+  res.batched_speedup = res.executor_us_per_event / res.batched_us_per_event;
   return res;
 }
 
@@ -169,32 +167,33 @@ int Main() {
   DPC_CHECK(rules.ok());
   const Rule& rule = rules->front();
   ProgramPlan plan = PlanRules(*rules);
+  FunctionRegistry fns;
+  CompiledRule compiled(rule, plan.rules[0], fns);
 
   std::vector<CaseResult> cases;
-  cases.push_back(RunCase(rule, plan.rules[0], 10, 4000));
-  cases.push_back(RunCase(rule, plan.rules[0], 100, 1500));
-  cases.push_back(RunCase(rule, plan.rules[0], 1000, 300));
-  CaseResult batch =
-      RunBatchCase(rule, plan.rules[0], 1000, /*num_events=*/10000,
-                   /*iters=*/30);
+  cases.push_back(RunCase(rule, compiled, 10, 4000));
+  cases.push_back(RunCase(rule, compiled, 100, 1500));
+  cases.push_back(RunCase(rule, compiled, 1000, 300));
+  CaseResult batch = RunBatchCase(rule, compiled, 1000,
+                                  /*num_events=*/10000, /*iters=*/30);
 
   std::printf("{\n  \"bench\": \"eval_bench\",\n  \"rule\": \"%s\",\n"
-              "  \"naive_crossover_rows\": %zu,\n  \"cases\": [\n",
-              kRuleText, kNaiveCrossoverRows);
+              "  \"cases\": [\n",
+              kRuleText);
   for (size_t i = 0; i < cases.size(); ++i) {
     const CaseResult& c = cases[i];
     std::printf("    {\"rows\": %d, \"naive_us_per_event\": %.3f, "
-                "\"planned_us_per_event\": %.3f, "
+                "\"executor_us_per_event\": %.3f, "
                 "\"batched_us_per_event\": %.3f, \"speedup\": %.1f, "
                 "\"batched_speedup\": %.1f}%s\n",
-                c.rows, c.naive_us_per_event, c.planned_us_per_event,
+                c.rows, c.naive_us_per_event, c.executor_us_per_event,
                 c.batched_us_per_event, c.speedup, c.batched_speedup,
                 i + 1 < cases.size() ? "," : "");
   }
   std::printf("  ],\n  \"batch_case\": {\"rows\": %d, \"events\": 10000, "
-              "\"planned_us_per_event\": %.3f, \"batched_us_per_event\": "
+              "\"executor_us_per_event\": %.3f, \"batched_us_per_event\": "
               "%.3f, \"batched_speedup\": %.1f}\n}\n",
-              batch.rows, batch.planned_us_per_event,
+              batch.rows, batch.executor_us_per_event,
               batch.batched_us_per_event, batch.batched_speedup);
   return 0;
 }

@@ -178,19 +178,14 @@ RulePlan PlanRule(const Rule& rule) {
                          plan.steps.back().constraints);
   }
 
-  // Batchability flags: body order permutation, order-safety of the naive
-  // fallback, and whether step 0's probe key reads straight off the event.
+  // Batchability fields: body order permutation, and whether step 0's
+  // probe key reads straight off the event.
   plan.body_order.resize(plan.steps.size());
   std::iota(plan.body_order.begin(), plan.body_order.end(), size_t{0});
   std::sort(plan.body_order.begin(), plan.body_order.end(),
             [&](size_t a, size_t b) {
               return plan.steps[a].atom_index < plan.steps[b].atom_index;
             });
-  plan.naive_order_safe = std::is_sorted(
-      plan.steps.begin(), plan.steps.end(),
-      [](const PlanStep& a, const PlanStep& b) {
-        return a.atom_index < b.atom_index;
-      });
   if (!plan.steps.empty() && !plan.steps[0].bound_columns.empty()) {
     const Atom& first = rule.atoms[plan.steps[0].atom_index];
     const Atom& event_atom = rule.EventAtom();
@@ -243,157 +238,6 @@ ProgramPlan PlanRules(const std::vector<Rule>& rules) {
 
 ProgramPlan PlanProgram(const Program& program) {
   return PlanRules(program.rules());
-}
-
-bool UseNaiveFallback(const Rule& rule, const RulePlan& plan,
-                      const Database& db) {
-  if (!plan.naive_order_safe || plan.steps.empty() || plan.never_fires) {
-    return false;
-  }
-  for (const PlanStep& step : plan.steps) {
-    const Table* table = db.Find(rule.atoms[step.atom_index].relation);
-    if (table != nullptr && table->size() > plan.small_table_fallback_rows) {
-      return false;
-    }
-  }
-  return true;
-}
-
-PlanExecutor::PlanExecutor(const Rule& rule, const RulePlan& plan,
-                           const FunctionRegistry& fns)
-    : rule_(rule),
-      plan_(plan),
-      fns_(fns),
-      joined_(plan.steps.size(), nullptr),
-      keys_(plan.steps.size()) {}
-
-// Evaluates the assignments/constraints placed at one plan position.
-// Returns false to prune the current branch (filter failed), true to
-// continue; evaluation errors surface as a Status.
-Result<bool> PlanExecutor::Apply(const std::vector<size_t>& asns,
-                                 const std::vector<size_t>& cons) {
-  for (size_t i : asns) {
-    const Assignment& asn = rule_.assignments[i];
-    DPC_ASSIGN_OR_RETURN(Value v, EvalExpr(*asn.expr, env_, fns_));
-    auto it = env_.find(asn.var);
-    if (it == env_.end()) {
-      env_.emplace(asn.var, std::move(v));
-      trail_.push_back(asn.var);
-    } else if (it->second != v) {
-      return false;
-    }
-  }
-  for (size_t i : cons) {
-    DPC_ASSIGN_OR_RETURN(Value v,
-                         EvalExpr(*rule_.constraints[i].expr, env_, fns_));
-    if (!v.Truthy()) return false;
-  }
-  return true;
-}
-
-Status PlanExecutor::Join(size_t idx) {
-  if (idx == plan_.steps.size()) {
-    DPC_ASSIGN_OR_RETURN(Tuple head, InstantiateAtom(rule_.head, env_));
-    RuleFiring firing;
-    firing.head = std::move(head);
-    firing.slow_tuples.reserve(plan_.steps.size());
-    for (size_t step : plan_.body_order) {
-      firing.slow_tuples.push_back(*joined_[step]);
-    }
-    out_->push_back(std::move(firing));
-    return Status::OK();
-  }
-  const PlanStep& step = plan_.steps[idx];
-  const Atom& atom = rule_.atoms[step.atom_index];
-
-  Status st;
-  auto visit = [&](const TupleRef& candidate) {
-    size_t mark = trail_.size();
-    // Full unification re-verifies the probed columns: the index matches
-    // on hashes, and repeated/unbound columns still need binding.
-    if (MatchAtom(atom, *candidate, env_, trail_)) {
-      Result<bool> keep = Apply(step.assignments, step.constraints);
-      if (!keep.ok()) {
-        st = keep.status();
-      } else if (*keep) {
-        joined_[idx] = &candidate;
-        st = Join(idx + 1);
-      }
-      if (!st.ok()) {
-        UndoTrail(env_, trail_, mark);
-        return false;
-      }
-    }
-    UndoTrail(env_, trail_, mark);
-    return true;
-  };
-
-  if (idx == 0 && first_candidates_ != nullptr) {
-    for (const TupleRef* candidate : *first_candidates_) {
-      if (!visit(*candidate)) break;
-    }
-    return st;
-  }
-
-  const Table* table = db_->Find(atom.relation);
-  if (table == nullptr) return Status::OK();
-  if (step.bound_columns.empty()) {
-    table->ForEachRef(visit);
-  } else {
-    std::vector<Value>& key = keys_[idx];
-    key.clear();
-    for (size_t col : step.bound_columns) {
-      const Term& t = atom.args[col];
-      if (t.is_var()) {
-        auto it = env_.find(t.var);
-        if (it == env_.end()) {
-          return Status::Internal("plan probes unbound variable " + t.var +
-                                  " in rule " + rule_.id);
-        }
-        key.push_back(it->second);
-      } else {
-        key.push_back(t.constant);
-      }
-    }
-    table->ForEachMatchRef(step.bound_columns, key, visit);
-  }
-  return st;
-}
-
-Status PlanExecutor::Execute(
-    const Tuple& event, const Database& db,
-    const std::vector<const TupleRef*>* first_candidates,
-    std::vector<RuleFiring>& out) {
-  if (plan_.never_fires) return Status::OK();
-  env_.clear();  // clear() keeps the map's buckets: no realloc per event
-  trail_.clear();
-  if (!MatchAtom(rule_.EventAtom(), event, env_)) {
-    return Status::OK();  // The event does not instantiate this trigger.
-  }
-  db_ = &db;
-  first_candidates_ = first_candidates;
-  out_ = &out;
-  DPC_ASSIGN_OR_RETURN(bool keep,
-                       Apply(plan_.pre_assignments, plan_.pre_constraints));
-  if (!keep) return Status::OK();
-  return Join(0);
-}
-
-Result<std::vector<RuleFiring>> FireRulePlanned(const Rule& rule,
-                                                const RulePlan& plan,
-                                                const Tuple& event,
-                                                const Database& db,
-                                                const FunctionRegistry& fns) {
-  std::vector<RuleFiring> out;
-  if (plan.never_fires) return out;
-  if (UseNaiveFallback(rule, plan, db)) {
-    // Tiny tables: naive nested loops beat plan setup, and order safety
-    // guarantees the identical firing sequence.
-    return FireRule(rule, event, db, fns);
-  }
-  PlanExecutor exec(rule, plan, fns);
-  DPC_RETURN_NOT_OK(exec.Execute(event, db, nullptr, out));
-  return out;
 }
 
 }  // namespace dpc

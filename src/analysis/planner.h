@@ -1,10 +1,11 @@
 // Analysis-driven rule compiler (the planner): turns each DELP rule into
-// an index-backed join plan executed by FireRulePlanned.
+// an index-backed join plan, which the runtime compiles once into its
+// positional executor (src/runtime/batch_eval.h CompiledRule).
 //
-// The naive evaluator (src/ndlog/eval.h FireRule) matches condition atoms
-// in textual body order against whole slow-changing tables and only
-// applies assignments and constraints at the join leaves. The planner
-// instead compiles, once per program load:
+// The naive evaluator (src/ndlog/eval.h FireRule, kept as the test
+// oracle) matches condition atoms in textual body order against whole
+// slow-changing tables and only applies assignments and constraints at
+// the join leaves. The planner instead compiles, once per program load:
 //
 //   * a join order chosen greedily by bound-variable coverage, so an atom
 //     sharing variables with what is already bound is probed before one
@@ -19,9 +20,9 @@
 //     builds lazily per slow-changing table.
 //
 // Plans preserve the naive evaluator's semantics for well-typed programs:
-// FireRulePlanned produces the same firing set, with RuleFiring.slow_tuples
-// restored to body-atom order so provenance recording is unchanged (see
-// docs/ndlog.md, "The planned-evaluation contract").
+// executing a plan produces FireRule's firing set, with
+// RuleFiring.slow_tuples restored to body-atom order so provenance
+// recording is unchanged (see docs/ndlog.md, "The evaluation contract").
 #ifndef DPC_ANALYSIS_PLANNER_H_
 #define DPC_ANALYSIS_PLANNER_H_
 
@@ -52,12 +53,6 @@ struct PlanStep {
   std::vector<size_t> constraints;
 };
 
-// Below this many rows in every probed table, the naive nested-loop
-// evaluator beats the planned path's fixed per-call setup (the
-// BENCH_eval.json rows=10 regression); FireRulePlanned falls through when
-// the plan also preserves body order. Recorded in the bench output.
-inline constexpr size_t kNaiveCrossoverRows = 16;
-
 // The compiled form of one rule.
 struct RulePlan {
   std::string rule_id;
@@ -70,30 +65,21 @@ struct RulePlan {
   // Constraints the constant folder proved always-true; dropped from
   // execution (they can never filter).
   std::vector<size_t> folded_constraints;
-  // A constraint folds to false: the rule can never fire and the planned
-  // evaluator returns no firings without probing anything.
+  // A constraint folds to false: the rule can never fire and the
+  // executor returns no firings without probing anything.
   bool never_fires = false;
 
-  // --- batchability flags (docs/analysis.md) ---------------------------
+  // --- batchability fields (docs/analysis.md) --------------------------
   // Step positions reordered back to body-atom order, precomputed for
-  // RuleFiring.slow_tuples so executors don't sort per call.
+  // RuleFiring.slow_tuples so the executor doesn't sort per call.
   std::vector<size_t> body_order;
-  // True when the planned join order equals textual body order. Pushdown
-  // then only prunes earlier what the naive evaluator prunes at its
-  // leaves, so FireRule yields the same firings in the same order and can
-  // substitute for the plan below the small-table crossover.
-  bool naive_order_safe = false;
   // True when step 0's probe key is computable straight from the event
   // tuple: every bound column is a constant or a variable bound at an
-  // event-atom position. The batch evaluator then hashes and groups
-  // events by first-probe key without running MatchAtom per event.
+  // event-atom position. The executor then hashes and groups a batch's
+  // events by first-probe key without unifying each event first.
   std::vector<int> first_key_event_pos;   // event position, or -1: constant
   std::vector<Value> first_key_constants;  // aligned; used where pos == -1
   bool batch_first_key = false;
-  // Largest probed-table size at which FireRulePlanned falls through to
-  // the naive evaluator. Only consulted when naive_order_safe; a per-plan
-  // field (not a constant) so differential tests can force either path.
-  size_t small_table_fallback_rows = kNaiveCrossoverRows;
 
   // True when any step is a cross-product join.
   bool HasCrossProduct() const;
@@ -108,8 +94,7 @@ struct ProgramPlan {
   std::map<std::string, std::set<IndexSignature>> index_signatures;
 };
 
-// Compiles one rule. `rule_index` is only used for display defaults when
-// the rule carries no id.
+// Compiles one rule.
 RulePlan PlanRule(const Rule& rule);
 
 // Compiles every rule and aggregates per-relation index signatures.
@@ -117,59 +102,6 @@ RulePlan PlanRule(const Rule& rule);
 // runs it before a Program can necessarily be constructed.
 ProgramPlan PlanRules(const std::vector<Rule>& rules);
 ProgramPlan PlanProgram(const Program& program);
-
-// True when `plan` should fall through to the naive evaluator for this
-// database: the join order is textual body order (firing order is then
-// unchanged) and every probed table is at or below the plan's crossover
-// size. Never true for never-firing or zero-step plans.
-bool UseNaiveFallback(const Rule& rule, const RulePlan& plan,
-                      const Database& db);
-
-// Reusable executor for one compiled plan. FireRulePlanned constructs one
-// per call; the batch evaluator (src/runtime/batch_eval.h) constructs one
-// per (rule, batch) and amortizes the bindings map, trail, join scratch
-// and per-depth probe-key buffers across every event of the batch.
-class PlanExecutor {
- public:
-  PlanExecutor(const Rule& rule, const RulePlan& plan,
-               const FunctionRegistry& fns);
-
-  // Evaluates the plan for `event` against `db`, appending firings in
-  // exactly FireRulePlanned's order. When `first_candidates` is non-null
-  // it replaces step 0's table probe (the batch path's hoisted group
-  // probe); candidates are still fully unified, so an over-approximate
-  // list — e.g. one keyed on a 64-bit hash — is safe.
-  Status Execute(const Tuple& event, const Database& db,
-                 const std::vector<const TupleRef*>* first_candidates,
-                 std::vector<RuleFiring>& out);
-
- private:
-  Result<bool> Apply(const std::vector<size_t>& asns,
-                     const std::vector<size_t>& cons);
-  Status Join(size_t idx);
-
-  const Rule& rule_;
-  const RulePlan& plan_;
-  const FunctionRegistry& fns_;
-  const Database* db_ = nullptr;
-  const std::vector<const TupleRef*>* first_candidates_ = nullptr;
-  std::vector<RuleFiring>* out_ = nullptr;
-  Bindings env_;
-  std::vector<std::string> trail_;
-  std::vector<const TupleRef*> joined_;
-  std::vector<std::vector<Value>> keys_;  // per-depth probe-key scratch
-};
-
-// Fires `rule` under `plan` (which must have been compiled from it).
-// Index probes replace table scans wherever the plan found bound columns;
-// when UseNaiveFallback holds the call routes to FireRule instead.
-// Identical firing sets to FireRule for well-typed programs; see
-// docs/ndlog.md for the exact contract.
-Result<std::vector<RuleFiring>> FireRulePlanned(const Rule& rule,
-                                                const RulePlan& plan,
-                                                const Tuple& event,
-                                                const Database& db,
-                                                const FunctionRegistry& fns);
 
 }  // namespace dpc
 

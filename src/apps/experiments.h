@@ -44,8 +44,8 @@ struct ExperimentConfig {
   // Runtime shard count (TestbedOptions::shards): > 1 runs the workload
   // on the parallel sharded engine. Results are byte-identical to 1.
   int shards = 1;
-  // Set-at-a-time batch evaluation (TestbedOptions::batch_eval). Results
-  // are byte-identical on or off; off forces tuple-at-a-time for
+  // Batch draining (TestbedOptions::batch_eval). Results are
+  // byte-identical on or off; off makes every event a batch of one for
   // differential testing.
   bool batch_eval = true;
   // When non-empty, trace the run and write Chrome-trace JSON here

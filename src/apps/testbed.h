@@ -69,10 +69,11 @@ struct TestbedOptions {
   // consistent prefix of the run rather than everything acknowledged.
   bool wal_buffered = false;
 
-  // Set-at-a-time batch evaluation (System::SetBatchEval): same-instant,
-  // same-(node, relation) events evaluate each rule plan once per batch.
-  // On by default; results are byte-identical either way (docs/perf.md),
-  // so this knob exists for differential testing and benchmarking.
+  // Batch draining (System::SetBatchEval): same-instant, same-(node,
+  // relation) events evaluate each compiled rule once per batch. On by
+  // default; off, every event is a batch of one. Results are
+  // byte-identical either way (docs/perf.md), so this knob exists for
+  // differential testing and benchmarking.
   bool batch_eval = true;
 
   // --- observability (src/obs) ---------------------------------------

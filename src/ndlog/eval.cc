@@ -1,8 +1,33 @@
 #include "src/ndlog/eval.h"
 
+#include <cstdint>
+
 namespace dpc {
 
 namespace {
+
+bool MatchAtomImpl(const Atom& atom, const Tuple& tuple, Bindings& env,
+                   std::vector<std::string>* trail) {
+  if (atom.relation != tuple.relation()) return false;
+  if (atom.args.size() != tuple.arity()) return false;
+  for (size_t i = 0; i < atom.args.size(); ++i) {
+    const Term& term = atom.args[i];
+    const Value& v = tuple.at(i);
+    if (term.is_var()) {
+      auto [it, inserted] = env.emplace(term.var, v);
+      if (inserted) {
+        if (trail != nullptr) trail->push_back(term.var);
+      } else if (it->second != v) {
+        return false;
+      }
+    } else if (term.constant != v) {
+      return false;
+    }
+  }
+  return true;
+}
+
+}  // namespace
 
 Result<Value> EvalBinary(Expr::Op op, const Value& lhs, const Value& rhs) {
   if (IsComparisonOp(op)) {
@@ -37,44 +62,33 @@ Result<Value> EvalBinary(Expr::Op op, const Value& lhs, const Value& rhs) {
                                    OpName(op) +
                                    "' requires integer operands");
   }
+  // Operands may come from peers' event bytes: a result outside int64 is
+  // an error, never undefined behaviour or a hardware trap.
   int64_t a = lhs.AsInt(), b = rhs.AsInt();
+  int64_t r = 0;
+  bool overflow = false;
   switch (op) {
-    case Expr::Op::kAdd: return Value::Int(a + b);
-    case Expr::Op::kSub: return Value::Int(a - b);
-    case Expr::Op::kMul: return Value::Int(a * b);
+    case Expr::Op::kAdd: overflow = __builtin_add_overflow(a, b, &r); break;
+    case Expr::Op::kSub: overflow = __builtin_sub_overflow(a, b, &r); break;
+    case Expr::Op::kMul: overflow = __builtin_mul_overflow(a, b, &r); break;
     case Expr::Op::kDiv:
       if (b == 0) return Status::InvalidArgument("division by zero");
-      return Value::Int(a / b);
+      overflow = a == INT64_MIN && b == -1;
+      if (!overflow) r = a / b;
+      break;
     case Expr::Op::kMod:
       if (b == 0) return Status::InvalidArgument("modulo by zero");
-      return Value::Int(a % b);
+      r = b == -1 ? 0 : a % b;  // INT64_MIN % -1 traps; the result is 0
+      break;
     default:
       return Status::Internal("unhandled binary op");
   }
-}
-
-bool MatchAtomImpl(const Atom& atom, const Tuple& tuple, Bindings& env,
-                   std::vector<std::string>* trail) {
-  if (atom.relation != tuple.relation()) return false;
-  if (atom.args.size() != tuple.arity()) return false;
-  for (size_t i = 0; i < atom.args.size(); ++i) {
-    const Term& term = atom.args[i];
-    const Value& v = tuple.at(i);
-    if (term.is_var()) {
-      auto [it, inserted] = env.emplace(term.var, v);
-      if (inserted) {
-        if (trail != nullptr) trail->push_back(term.var);
-      } else if (it->second != v) {
-        return false;
-      }
-    } else if (term.constant != v) {
-      return false;
-    }
+  if (overflow) {
+    return Status::InvalidArgument(std::string("integer overflow in '") +
+                                   OpName(op) + "'");
   }
-  return true;
+  return Value::Int(r);
 }
-
-}  // namespace
 
 Result<Value> EvalExpr(const Expr& expr, const Bindings& env,
                        const FunctionRegistry& fns) {

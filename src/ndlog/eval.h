@@ -1,8 +1,12 @@
-// Single-rule evaluation: the building block of pipelined semi-naïve
-// evaluation (§3.1). Given an event tuple and the local database of
-// slow-changing tables, FireRule produces every head tuple derivable by one
-// application of the rule, together with the slow-changing tuples that
-// joined (which become the provenance of the firing).
+// Single-rule evaluation by name-keyed bindings: the expression, matching
+// and instantiation primitives (shared with the analyzer's constant
+// folding and query-time re-execution), and FireRule, the naive reference
+// evaluator. Given an event tuple and the local database of slow-changing
+// tables, FireRule produces every head tuple derivable by one application
+// of the rule, together with the slow-changing tuples that joined (which
+// become the provenance of the firing). The runtime evaluates rules with
+// the compiled executor (src/runtime/batch_eval.h); FireRule is the oracle
+// its tests and benchmark compare against.
 #ifndef DPC_NDLOG_EVAL_H_
 #define DPC_NDLOG_EVAL_H_
 
@@ -21,8 +25,14 @@ namespace dpc {
 // Variable name -> value environment built during matching.
 using Bindings = std::unordered_map<std::string, Value>;
 
-// Evaluates `expr` under `env`. Arithmetic requires integer operands;
-// comparisons work on either type (ordered lexicographically for strings).
+// Applies binary operator `op`: the operator semantics every evaluator
+// shares. Arithmetic requires integer operands ("+" also concatenates
+// strings) and fails with InvalidArgument on division or modulo by zero
+// and on any result outside int64 (INT64_MIN % -1 is 0); comparisons work
+// on either type (ordered lexicographically for strings).
+Result<Value> EvalBinary(Expr::Op op, const Value& lhs, const Value& rhs);
+
+// Evaluates `expr` under `env`, with EvalBinary's operator semantics.
 Result<Value> EvalExpr(const Expr& expr, const Bindings& env,
                        const FunctionRegistry& fns);
 
@@ -59,8 +69,9 @@ struct RuleFiring {
 };
 
 // Fires `rule` with `event` as the instance of the rule's event atom,
-// joining condition atoms against `db` and applying assignments and
-// constraints. Returns every derivation (possibly none).
+// joining condition atoms in body order by full table scans and applying
+// assignments and constraints at the leaves. Returns every derivation
+// (possibly none). The test and benchmark oracle for CompiledRule.
 Result<std::vector<RuleFiring>> FireRule(const Rule& rule, const Tuple& event,
                                          const Database& db,
                                          const FunctionRegistry& fns);

@@ -12,13 +12,16 @@ bool FunctionRegistry::Contains(const std::string& name) const {
   return fns_.count(name) > 0;
 }
 
+const NdlogFunction* FunctionRegistry::Find(const std::string& name) const {
+  auto it = fns_.find(name);
+  return it == fns_.end() ? nullptr : &it->second;
+}
+
 Result<Value> FunctionRegistry::Call(const std::string& name,
                                      const std::vector<Value>& args) const {
-  auto it = fns_.find(name);
-  if (it == fns_.end()) {
-    return Status::NotFound("unknown function " + name);
-  }
-  return it->second(args);
+  const NdlogFunction* fn = Find(name);
+  if (fn == nullptr) return Status::NotFound("unknown function " + name);
+  return (*fn)(args);
 }
 
 bool IsSubDomain(const std::string& domain, const std::string& url) {

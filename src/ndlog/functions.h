@@ -23,6 +23,11 @@ class FunctionRegistry {
 
   bool Contains(const std::string& name) const;
 
+  // The function registered under `name`, or null. The pointer stays valid
+  // for the registry's lifetime (re-registering a name replaces the
+  // function in place), so compiled rules resolve each call once.
+  const NdlogFunction* Find(const std::string& name) const;
+
   Result<Value> Call(const std::string& name,
                      const std::vector<Value>& args) const;
 

@@ -1,6 +1,7 @@
 #include "src/ndlog/lexer.h"
 
 #include <cctype>
+#include <cstdint>
 
 namespace dpc {
 
@@ -125,12 +126,19 @@ class Lexer {
     }
 
     if (std::isdigit(static_cast<unsigned char>(c))) {
-      int64_t v = 0;
+      // Magnitudes up to 2^63 lex; the parser accepts 2^63 only negated
+      // (INT64_MIN). Anything larger is out of int64's range.
+      constexpr uint64_t kMaxMagnitude = uint64_t{1} << 63;
+      uint64_t v = 0;
       while (!AtEnd() && std::isdigit(static_cast<unsigned char>(Peek()))) {
-        v = v * 10 + (Advance() - '0');
+        uint64_t digit = static_cast<uint64_t>(Advance() - '0');
+        if (v > (kMaxMagnitude - digit) / 10) {
+          return ErrorHere("integer literal out of range");
+        }
+        v = v * 10 + digit;
       }
       tok.kind = TokenKind::kNumber;
-      tok.number = v;
+      tok.number = static_cast<int64_t>(v);  // 2^63 reads as INT64_MIN
       return tok;
     }
 

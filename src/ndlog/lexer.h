@@ -41,7 +41,9 @@ const char* TokenKindName(TokenKind kind);
 struct Token {
   TokenKind kind;
   std::string text;   // identifier / string literal body
-  int64_t number = 0;  // kNumber
+  // kNumber: the literal's magnitude; 2^63 (only valid negated) reads as
+  // INT64_MIN.
+  int64_t number = 0;
   int line = 0;
   int column = 0;
 

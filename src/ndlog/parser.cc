@@ -149,6 +149,7 @@ class Parser {
         return located(Term::Const(Value::Str(tok.text)));
       }
       case TokenKind::kNumber: {
+        if (tok.number < 0) return ErrorAt(tok, "integer literal out of range");
         Advance();
         return located(Term::Const(Value::Int(tok.number)));
       }
@@ -160,7 +161,9 @@ class Parser {
         Advance();
         DPC_ASSIGN_OR_RETURN(Token num,
                              Expect(TokenKind::kNumber, "number after '-'"));
-        return located(Term::Const(Value::Int(-num.number)));
+        // A magnitude of 2^63 lexes as INT64_MIN, which is its own negation.
+        return located(Term::Const(
+            Value::Int(num.number < 0 ? num.number : -num.number)));
       }
       default:
         return ErrorAt(tok, "expected term");
@@ -242,6 +245,7 @@ class Parser {
         return Expr::MakeConst(Value::Str(tok.text));
       }
       case TokenKind::kNumber:
+        if (tok.number < 0) return ErrorAt(tok, "integer literal out of range");
         Advance();
         return Expr::MakeConst(Value::Int(tok.number));
       case TokenKind::kString:

@@ -45,13 +45,13 @@ using NodeId = int32_t;
 // One track per category under each node's process row in Perfetto.
 enum class TraceCat : uint8_t {
   kQueue = 0,      // event-queue dispatch
-  kRule = 1,       // rule firings (planned evaluation)
+  kRule = 1,       // rule evaluation of an event dispatched alone
   kRecorder = 2,   // provenance-maintenance hooks
   kNetwork = 3,    // raw network (drops)
   kTransport = 4,  // reliable-transport frames / retransmits / acks
   kQuery = 5,      // distributed provenance queries
   kShard = 6,      // shard-engine windows / barriers (shard_engine.h)
-  kBatch = 7,      // set-at-a-time batch plan executions (batch_eval.h)
+  kBatch = 7,      // rule evaluation over a drained batch (batch_eval.h)
 };
 
 const char* TraceCatName(TraceCat cat);

@@ -1,13 +1,8 @@
 #include "src/runtime/batch_eval.h"
 
-#include <cstdint>
-#include <map>
-#include <string>
-#include <utility>
-#include <vector>
-
 #include "src/db/table.h"
 #include "src/util/hash.h"
+#include "src/util/logging.h"
 
 namespace dpc {
 
@@ -16,8 +11,7 @@ namespace {
 // First-probe key hash for one event, read directly off the event tuple's
 // positions (RulePlan::batch_first_key). Returns false when the event is
 // too short for some key position — such an event cannot match the rule's
-// event atom (MatchAtom checks arity first), so the caller routes it
-// through the plain per-event path, which yields no firings.
+// event atom, so the caller lets it probe for itself (no firings).
 bool FirstKeyHash(const RulePlan& plan, const Tuple& event, uint64_t* hash) {
   Fnv1a h;
   for (size_t k = 0; k < plan.first_key_event_pos.size(); ++k) {
@@ -33,351 +27,322 @@ bool FirstKeyHash(const RulePlan& plan, const Tuple& event, uint64_t* hash) {
   return true;
 }
 
-// Below this batch size the slot compile (a few dozen small allocations)
-// is not worth amortizing; the PlanExecutor path serves small batches.
-constexpr size_t kSlotCompileMinEvents = 4;
+}  // namespace
 
-// Positional executor: compiles a pure-join plan (no assignments, no
-// constraints, no scan steps) into match ops over dense value slots, so
-// the per-event inner loop touches no string-keyed Bindings map at all.
-// Variable names resolve to slot indexes once at compile time; each slot
-// is written by exactly one binder (an event-atom or step-atom position)
-// before any reader runs, so backtracking needs no trail — the next
-// candidate simply overwrites the step's slots.
-//
-// Equivalence with PlanExecutor on the compiled subset: candidates come
-// from the same lazy hash indexes in the same bucket order
-// (Table::CollectMatchRefs ≡ ForEachMatchRef), the ops re-verify exactly
-// what MatchAtom verifies (arity, constants, repeated variables), and
-// firings are emitted with slow_tuples restored to body order. Pure joins
-// cannot raise evaluation errors, so the status is always OK — as it is
-// for FireRulePlanned on such rules.
-class SlotExecutor {
- public:
-  // Compiles (rule, plan) into positional form; false when the plan is
-  // outside the compiled subset (the caller then uses PlanExecutor).
-  bool Compile(const Rule& rule, const RulePlan& plan) {
-    rule_ = &rule;
-    plan_ = &plan;
-    if (plan.never_fires || plan.steps.empty()) return false;
-    if (!plan.pre_assignments.empty() || !plan.pre_constraints.empty()) {
-      return false;
-    }
-    std::map<std::string, uint32_t> slot_of;
-    const Atom& event_atom = rule.EventAtom();
-    event_arity_ = event_atom.args.size();
-    CompileAtom(event_atom, slot_of, event_ops_);
-    steps_.clear();
-    steps_.reserve(plan.steps.size());
-    for (const PlanStep& ps : plan.steps) {
-      if (!ps.assignments.empty() || !ps.constraints.empty()) return false;
-      if (ps.bound_columns.empty()) return false;  // scan: stay on the
-                                                   // general path
-      Step step;
-      const Atom& atom = rule.atoms[ps.atom_index];
-      step.arity = atom.args.size();
-      // The probe key reads slots bound by earlier binders (or plan
-      // constants); compile it before this atom's ops assign new slots.
-      for (size_t col : ps.bound_columns) {
-        const Term& t = atom.args[col];
-        if (t.is_var()) {
-          auto it = slot_of.find(t.var);
-          if (it == slot_of.end()) return false;  // probes unbound var
-          step.key.emplace_back(static_cast<int32_t>(it->second), nullptr);
-        } else {
-          step.key.emplace_back(-1, &t.constant);
-        }
-      }
-      CompileAtom(atom, slot_of, step.ops);
-      step.sig = &ps.bound_columns;
-      step.relation = &atom.relation;
-      steps_.push_back(std::move(step));
-    }
-    head_src_.clear();
-    for (const Term& t : rule.head.args) {
-      if (t.is_var()) {
-        auto it = slot_of.find(t.var);
-        // An unbound head variable errors under InstantiateAtom; keep
-        // that path's fidelity by not compiling the rule.
-        if (it == slot_of.end()) return false;
-        head_src_.emplace_back(static_cast<int32_t>(it->second), nullptr);
-      } else {
-        head_src_.emplace_back(-1, &t.constant);
-      }
-    }
-    slots_.assign(slot_of.size(), Value());
-    joined_.assign(steps_.size(), nullptr);
-    cand_.assign(steps_.size(), {});
-    return true;
-  }
-
-  // Resolves each step's table and lazy hash index once for the whole
-  // batch (the database is frozen for the duration of the call), so the
-  // per-event inner loop skips the relation and signature lookups.
-  void Bind(const Database& db) {
-    for (Step& step : steps_) {
-      step.table = db.Find(*step.relation);
-      step.index = step.table != nullptr ? &step.table->IndexFor(*step.sig)
-                                         : nullptr;
-    }
-  }
-
-  void Execute(const Tuple& event,
-               const std::vector<const TupleRef*>* first_candidates,
-               std::vector<RuleFiring>& out) {
-    if (event.relation() != rule_->EventAtom().relation ||
-        event.arity() != event_arity_) {
-      return;  // cannot instantiate the trigger; no firings
-    }
-    if (!RunOps(event_ops_, event)) return;
-    first_candidates_ = first_candidates;
-    out_ = &out;
-    Join(0);
-  }
-
- private:
-  struct Op {
-    enum class Kind { kBind, kCheckSlot, kCheckConst };
-    Kind kind;
-    uint32_t pos;             // tuple position read
-    uint32_t slot = 0;        // kBind / kCheckSlot
-    const Value* constant = nullptr;  // kCheckConst
+// Slots point at values inside the event and joined tuples (stable for
+// the call) or at `owned` entries for assignment results. Each slot has
+// exactly one binder in plan order and every reader runs after it, so
+// backtracking needs no trail: the next candidate overwrites the slot.
+struct CompiledRule::Frame {
+  struct StepState {
+    const Table* table = nullptr;
+    const Table::HashIndex* index = nullptr;  // resolved at first probe
+    const TupleRef* joined = nullptr;
+    std::vector<const TupleRef*> candidates;
   };
-  struct Step {
-    const IndexSignature* sig = nullptr;
-    const std::string* relation = nullptr;
-    const Table* table = nullptr;           // set by Bind
-    const Table::HashIndex* index = nullptr;  // set by Bind
-    size_t arity = 0;
+  std::vector<const Value*> slots;
+  std::vector<Value> owned;  // assignment results, by slot
+  std::vector<StepState> steps;
+  const std::vector<const TupleRef*>* first_candidates = nullptr;
+  std::vector<RuleFiring>* out = nullptr;
+};
+
+CompiledRule::CompiledRule(const Rule& rule, const RulePlan& plan,
+                           const FunctionRegistry& fns)
+    : rule_(&rule), plan_(&plan), fns_(&fns) {
+  std::map<std::string, uint32_t> slot_of;
+  auto fresh_slot = [&](const std::string& var) {
+    return slot_of.emplace(var, static_cast<uint32_t>(slot_of.size()));
+  };
+  // A variable's first occurrence binds a slot; later ones check it.
+  auto compile_atom = [&](const Atom& atom) {
     std::vector<Op> ops;
-    // Probe-key sources in bound-column order: slot index, or a constant.
-    std::vector<std::pair<int32_t, const Value*>> key;
-  };
-
-  void CompileAtom(const Atom& atom, std::map<std::string, uint32_t>& slot_of,
-                   std::vector<Op>& ops) {
-    ops.clear();
+    ops.reserve(atom.args.size());
     for (size_t i = 0; i < atom.args.size(); ++i) {
       const Term& t = atom.args[i];
       Op op;
       op.pos = static_cast<uint32_t>(i);
-      if (!t.is_var()) {
-        op.kind = Op::Kind::kCheckConst;
-        op.constant = &t.constant;
-      } else {
-        auto [it, inserted] =
-            slot_of.emplace(t.var, static_cast<uint32_t>(slot_of.size()));
-        op.kind = inserted ? Op::Kind::kBind : Op::Kind::kCheckSlot;
+      if (t.is_var()) {
+        auto [it, fresh] = fresh_slot(t.var);
+        op.kind = fresh ? Op::Kind::kBind : Op::Kind::kCheckSlot;
         op.slot = it->second;
+      } else {
+        op.constant = &t.constant;
       }
       ops.push_back(op);
     }
-  }
-
-  // Exactly MatchAtom's unification over the precompiled ops (the arity
-  // and relation checks live at the call sites).
-  bool RunOps(const std::vector<Op>& ops, const Tuple& t) {
-    for (const Op& op : ops) {
-      const Value& v = t.at(op.pos);
-      switch (op.kind) {
-        case Op::Kind::kBind:
-          slots_[op.slot] = v;
-          break;
-        case Op::Kind::kCheckSlot:
-          if (slots_[op.slot] != v) return false;
-          break;
-        case Op::Kind::kCheckConst:
-          if (*op.constant != v) return false;
-          break;
-      }
+    return ops;
+  };
+  auto compile_filters = [&](const std::vector<size_t>& assignments,
+                             const std::vector<size_t>& constraints) {
+    Filters out;
+    for (size_t i : assignments) {
+      const Assignment& asn = rule.assignments[i];
+      Assign a;
+      // The right-hand side compiles before its target takes a slot.
+      a.expr = CompileExpr(*asn.expr, slot_of, fns);
+      auto [it, fresh] = fresh_slot(asn.var);
+      a.slot = it->second;
+      a.binds = fresh;
+      out.assignments.push_back(std::move(a));
     }
-    return true;
-  }
-
-  void Join(size_t idx) {
-    if (idx == steps_.size()) {
-      RuleFiring firing;
-      std::vector<Value> values;
-      values.reserve(head_src_.size());
-      for (const auto& [slot, constant] : head_src_) {
-        values.push_back(slot >= 0 ? slots_[static_cast<size_t>(slot)]
-                                   : *constant);
-      }
-      firing.head = Tuple(rule_->head.relation, std::move(values));
-      firing.slow_tuples.reserve(steps_.size());
-      for (size_t step : plan_->body_order) {
-        firing.slow_tuples.push_back(*joined_[step]);
-      }
-      out_->push_back(std::move(firing));
-      return;
-    }
-    Step& step = steps_[idx];
-    const std::vector<const TupleRef*>* candidates;
-    if (idx == 0 && first_candidates_ != nullptr) {
-      candidates = first_candidates_;
-    } else {
-      if (step.index == nullptr) return;  // relation has no table yet
-      Fnv1a h;
-      for (const auto& [slot, constant] : step.key) {
-        (slot >= 0 ? slots_[static_cast<size_t>(slot)] : *constant)
-            .HashInto(h);
-      }
-      cand_[idx].clear();
-      step.table->CollectFromIndex(*step.index, h.hash(), cand_[idx]);
-      candidates = &cand_[idx];
-    }
-    for (const TupleRef* candidate : *candidates) {
-      // Full re-verification, as PlanExecutor's MatchAtom does: the index
-      // matched on hashes only, and repeated/unbound columns still need
-      // checking and binding.
-      if ((*candidate)->arity() != step.arity) continue;
-      if (!RunOps(step.ops, **candidate)) continue;
-      joined_[idx] = candidate;
-      Join(idx + 1);
-    }
-  }
-
-  const Rule* rule_ = nullptr;
-  const RulePlan* plan_ = nullptr;
-  size_t event_arity_ = 0;
-  std::vector<Op> event_ops_;
-  std::vector<Step> steps_;
-  std::vector<std::pair<int32_t, const Value*>> head_src_;
-  std::vector<Value> slots_;
-  std::vector<const TupleRef*> joined_;
-  std::vector<std::vector<const TupleRef*>> cand_;  // per-depth scratch
-  const std::vector<const TupleRef*>* first_candidates_ = nullptr;
-  std::vector<RuleFiring>* out_ = nullptr;
-};
-
-}  // namespace
-
-std::vector<BatchEventFirings> FireRuleBatched(
-    const Rule& rule, const RulePlan& plan,
-    const std::vector<const Tuple*>& events, const Database& db,
-    const FunctionRegistry& fns) {
-  std::vector<BatchEventFirings> out(events.size());
-  if (plan.never_fires) return out;
-
-  if (UseNaiveFallback(rule, plan, db)) {
-    // Tiny tables: mirror FireRulePlanned's fallthrough so batched and
-    // per-event evaluation stay byte-identical either side of the
-    // crossover.
-    for (size_t i = 0; i < events.size(); ++i) {
-      Result<std::vector<RuleFiring>> r = FireRule(rule, *events[i], db, fns);
-      if (r.ok()) {
-        out[i].firings = std::move(r).value();
-      } else {
-        out[i].status = r.status();
-      }
+    for (size_t i : constraints) {
+      out.constraints.push_back(
+          CompileExpr(*rule.constraints[i].expr, slot_of, fns));
     }
     return out;
-  }
-
-  PlanExecutor exec(rule, plan, fns);
-  SlotExecutor slots;
-  bool use_slots =
-      events.size() >= kSlotCompileMinEvents && slots.Compile(rule, plan);
-  if (use_slots) slots.Bind(db);
-  auto run_one = [&](const Tuple& event,
-                     const std::vector<const TupleRef*>* first_candidates,
-                     BatchEventFirings& r) {
-    if (use_slots) {
-      slots.Execute(event, first_candidates, r.firings);
-    } else {
-      r.status = exec.Execute(event, db, first_candidates, r.firings);
-    }
   };
 
-  const Table* first_table =
-      plan.steps.empty()
-          ? nullptr
-          : db.Find(rule.atoms[plan.steps[0].atom_index].relation);
-  if (!plan.batch_first_key || first_table == nullptr) {
-    // No direct key read (or nothing to probe): the win is the shared
-    // executor scratch. A missing first table still runs per event so
-    // pre-join evaluation errors surface with per-event fidelity.
-    for (size_t i = 0; i < events.size(); ++i) {
-      run_one(*events[i], nullptr, out[i]);
-    }
-    return out;
-  }
-
-  // Fast path: hash each event's first-probe key off the tuple and group
-  // equal hashes with an open-addressed chain table (O(n), no sort), then
-  // fetch each group's candidate run once and execute the plan per member
-  // with the probe hoisted out. Evaluation is pure, so grouped execution
-  // order doesn't matter — results land at each event's original slot.
-  const Table::HashIndex& first_index =
-      first_table->IndexFor(plan.steps[0].bound_columns);
-
-  struct Group {
-    uint64_t hash = 0;
-    int32_t head = -1;  // first event index in the chain
-    int32_t tail = -1;  // last event index, for O(1) append
-  };
-  size_t cap = 1;
-  while (cap < events.size() * 2) cap <<= 1;
-  std::vector<Group> groups(cap);
-  std::vector<int32_t> next(events.size(), -1);
-  const size_t mask = cap - 1;
-  for (size_t i = 0; i < events.size(); ++i) {
-    uint64_t hash = 0;
-    if (!FirstKeyHash(plan, *events[i], &hash)) {
-      // Shape mismatch: cannot match the event atom; keep exact parity
-      // with the per-event path (which returns OK with no firings).
-      run_one(*events[i], nullptr, out[i]);
-      continue;
-    }
-    size_t slot = hash & mask;
-    while (groups[slot].head >= 0 && groups[slot].hash != hash) {
-      slot = (slot + 1) & mask;
-    }
-    Group& group = groups[slot];
-    if (group.head < 0) {
-      group.hash = hash;
-      group.head = group.tail = static_cast<int32_t>(i);
-    } else {
-      next[group.tail] = static_cast<int32_t>(i);
-      group.tail = static_cast<int32_t>(i);
-    }
-  }
-
-  // Within a group, identical events yield identical results (evaluation
-  // is a pure function of event content and the frozen database), so each
-  // result is computed once and later duplicates record a reference to it
-  // (same_as) instead of recomputing — or deep-copying — the firings. The
-  // rep list is capped: past it, members evaluate directly rather than
-  // scanning an ever-longer list (adversarial all-distinct same-hash
-  // groups).
-  constexpr size_t kMaxMemoReps = 4;
-  std::vector<const TupleRef*> candidates;
-  std::vector<uint32_t> reps;
-  for (const Group& group : groups) {
-    if (group.head < 0) continue;
-    candidates.clear();
-    first_table->CollectFromIndex(first_index, group.hash, candidates);
-    reps.clear();
-    for (int32_t i = group.head; i >= 0; i = next[i]) {
-      const Tuple& event = *events[i];
-      const uint32_t* hit = nullptr;
-      for (const uint32_t& r : reps) {
-        if (*events[r] == event) {
-          hit = &r;
-          break;
-        }
-      }
-      if (hit != nullptr) {
-        out[i].status = out[*hit].status;
-        out[i].same_as = static_cast<int32_t>(*hit);
-        out[*hit].shared = true;
+  event_ops_ = compile_atom(rule.EventAtom());
+  pre_ = compile_filters(plan.pre_assignments, plan.pre_constraints);
+  for (const PlanStep& ps : plan.steps) {
+    const Atom& atom = rule.atoms[ps.atom_index];
+    Step step;
+    step.relation = &atom.relation;
+    step.sig = &ps.bound_columns;
+    step.arity = atom.args.size();
+    // The probe key reads slots bound before this step, so it compiles
+    // before the atom's own ops take new slots.
+    for (size_t col : ps.bound_columns) {
+      const Term& t = atom.args[col];
+      if (!t.is_var()) {
+        step.key.emplace_back(-1, &t.constant);
         continue;
       }
-      run_one(event, &candidates, out[i]);
-      if (reps.size() < kMaxMemoReps) {
-        reps.push_back(static_cast<uint32_t>(i));
-      }
+      auto it = slot_of.find(t.var);
+      DPC_CHECK(it != slot_of.end())
+          << "plan for rule " << rule.id << " probes unbound " << t.var;
+      step.key.emplace_back(static_cast<int32_t>(it->second), nullptr);
     }
+    step.ops = compile_atom(atom);
+    step.filters = compile_filters(ps.assignments, ps.constraints);
+    steps_.push_back(std::move(step));
+  }
+
+  // InstantiateAtom names the first head variable nothing binds; every
+  // derivation then fails with that status, as it does in FireRule.
+  Bindings bound;
+  for (const auto& [var, slot] : slot_of) bound.emplace(var, Value());
+  head_error_ = InstantiateAtom(rule.head, bound).status();
+  for (const Term& t : rule.head.args) {
+    auto it = t.is_var() ? slot_of.find(t.var) : slot_of.end();
+    head_.emplace_back(
+        it != slot_of.end() ? static_cast<int32_t>(it->second) : -1,
+        t.is_var() ? nullptr : &t.constant);
+  }
+  num_slots_ = static_cast<uint32_t>(slot_of.size());
+}
+
+CompiledRule::SlotExpr CompiledRule::CompileExpr(
+    const Expr& expr, const std::map<std::string, uint32_t>& slot_of,
+    const FunctionRegistry& fns) {
+  SlotExpr out;
+  out.expr = &expr;
+  switch (expr.kind) {
+    case Expr::Kind::kConst:
+      break;
+    case Expr::Kind::kVar: {
+      auto it = slot_of.find(expr.var);
+      if (it != slot_of.end()) out.slot = static_cast<int32_t>(it->second);
+      break;
+    }
+    case Expr::Kind::kBinary:
+      out.args.push_back(CompileExpr(*expr.lhs, slot_of, fns));
+      out.args.push_back(CompileExpr(*expr.rhs, slot_of, fns));
+      break;
+    case Expr::Kind::kCall:
+      out.fn = fns.Find(expr.fn);
+      for (const ExprPtr& arg : expr.args) {
+        out.args.push_back(CompileExpr(*arg, slot_of, fns));
+      }
+      break;
+  }
+  return out;
+}
+
+Result<Value> CompiledRule::Eval(const SlotExpr& e, const Frame& f) const {
+  const Expr& expr = *e.expr;
+  switch (expr.kind) {
+    case Expr::Kind::kConst:
+      return expr.constant;
+    case Expr::Kind::kVar:
+      // Unbound at this plan position: EvalExpr's own error.
+      if (e.slot < 0) return EvalExpr(expr, Bindings{}, *fns_);
+      return *f.slots[static_cast<size_t>(e.slot)];
+    case Expr::Kind::kBinary: {
+      DPC_ASSIGN_OR_RETURN(Value lhs, Eval(e.args[0], f));
+      DPC_ASSIGN_OR_RETURN(Value rhs, Eval(e.args[1], f));
+      return EvalBinary(expr.op, lhs, rhs);
+    }
+    case Expr::Kind::kCall: {
+      std::vector<Value> args;
+      args.reserve(e.args.size());
+      for (const SlotExpr& arg : e.args) {
+        DPC_ASSIGN_OR_RETURN(Value v, Eval(arg, f));
+        args.push_back(std::move(v));
+      }
+      // An unregistered function fails with the registry's own error.
+      return e.fn != nullptr ? (*e.fn)(args) : fns_->Call(expr.fn, args);
+    }
+  }
+  return Status::Internal("unhandled expression kind");
+}
+
+bool CompiledRule::Match(const std::vector<Op>& ops, const Tuple& t,
+                         Frame& f) {
+  for (const Op& op : ops) {
+    const Value& v = t.at(op.pos);
+    switch (op.kind) {
+      case Op::Kind::kBind:
+        f.slots[op.slot] = &v;
+        break;
+      case Op::Kind::kCheckSlot:
+        if (*f.slots[op.slot] != v) return false;
+        break;
+      case Op::Kind::kCheckConst:
+        if (*op.constant != v) return false;
+        break;
+    }
+  }
+  return true;
+}
+
+Result<bool> CompiledRule::Apply(const Filters& filters, Frame& f) const {
+  for (const Assign& a : filters.assignments) {
+    DPC_ASSIGN_OR_RETURN(Value v, Eval(a.expr, f));
+    if (a.binds) {
+      f.owned[a.slot] = std::move(v);
+      f.slots[a.slot] = &f.owned[a.slot];
+    } else if (*f.slots[a.slot] != v) {
+      return false;
+    }
+  }
+  for (const SlotExpr& c : filters.constraints) {
+    DPC_ASSIGN_OR_RETURN(Value v, Eval(c, f));
+    if (!v.Truthy()) return false;
+  }
+  return true;
+}
+
+Status CompiledRule::Emit(Frame& f) const {
+  if (!head_error_.ok()) return head_error_;
+  std::vector<Value> values;
+  values.reserve(head_.size());
+  for (const auto& [slot, constant] : head_) {
+    values.push_back(slot >= 0 ? *f.slots[static_cast<size_t>(slot)]
+                               : *constant);
+  }
+  RuleFiring firing;
+  firing.head = Tuple(rule_->head.relation, std::move(values));
+  firing.slow_tuples.reserve(steps_.size());
+  for (size_t step : plan_->body_order) {
+    firing.slow_tuples.push_back(*f.steps[step].joined);
+  }
+  f.out->push_back(std::move(firing));
+  return Status::OK();
+}
+
+Status CompiledRule::Join(size_t idx, Frame& f) const {
+  if (idx == steps_.size()) return Emit(f);
+  const Step& step = steps_[idx];
+  Frame::StepState& state = f.steps[idx];
+  Status status;
+  auto visit = [&](const TupleRef& row) {
+    // Full re-verification: the index matched on a 64-bit hash only, and
+    // unbound or repeated columns still need binding and checking.
+    if (row->arity() != step.arity || !Match(step.ops, *row, f)) return true;
+    Result<bool> keep = Apply(step.filters, f);
+    if (!keep.ok()) {
+      status = keep.status();
+      return false;
+    }
+    if (!*keep) return true;
+    state.joined = &row;
+    status = Join(idx + 1, f);
+    return status.ok();
+  };
+  const std::vector<const TupleRef*>* candidates = nullptr;
+  if (idx == 0 && f.first_candidates != nullptr) {
+    candidates = f.first_candidates;
+  } else if (state.table == nullptr) {
+    return Status::OK();  // the relation has no table yet
+  } else if (step.sig->empty()) {
+    state.table->ForEachRef(visit);  // nothing bound: scan
+    return status;
+  } else {
+    if (state.index == nullptr) state.index = &state.table->IndexFor(*step.sig);
+    Fnv1a h;
+    for (const auto& [slot, constant] : step.key) {
+      (slot >= 0 ? *f.slots[static_cast<size_t>(slot)] : *constant)
+          .HashInto(h);
+    }
+    state.candidates.clear();
+    state.table->CollectFromIndex(*state.index, h.hash(), state.candidates);
+    candidates = &state.candidates;
+  }
+  for (const TupleRef* row : *candidates) {
+    if (!visit(*row)) break;
+  }
+  return status;
+}
+
+Status CompiledRule::Execute(
+    const Tuple& event, const std::vector<const TupleRef*>* first_candidates,
+    Frame& f, std::vector<RuleFiring>& out) const {
+  if (event.relation() != rule_->EventAtom().relation ||
+      event.arity() != event_ops_.size() || !Match(event_ops_, event, f)) {
+    return Status::OK();  // the event does not instantiate the trigger
+  }
+  f.first_candidates = first_candidates;
+  f.out = &out;
+  DPC_ASSIGN_OR_RETURN(bool keep, Apply(pre_, f));
+  if (!keep) return Status::OK();
+  return Join(0, f);
+}
+
+std::vector<BatchEventFirings> CompiledRule::FireBatch(
+    const std::vector<const Tuple*>& events, const Database& db) const {
+  std::vector<BatchEventFirings> out(events.size());
+  if (plan_->never_fires) return out;
+  Frame f;
+  f.slots.resize(num_slots_);
+  if (!rule_->assignments.empty()) f.owned.resize(num_slots_);
+  f.steps.resize(steps_.size());
+  for (size_t s = 0; s < steps_.size(); ++s) {
+    f.steps[s].table = db.Find(*steps_[s].relation);
+  }
+  auto run = [&](size_t i, const std::vector<const TupleRef*>* candidates) {
+    out[i].status = Execute(*events[i], candidates, f, out[i].firings);
+    if (!out[i].status.ok()) out[i].firings.clear();
+  };
+
+  // Events run in batch order. In a batch of two or more, when step 0's
+  // probe key reads straight off the event tuple, consecutive events with
+  // the same key share one candidate run (one DNS node's requests share
+  // its nameServer bucket, say). Batch order keeps the scratch and the
+  // results cache-friendly: hash-chaining same-key events across a large
+  // batch scattered them and ran slower than probing per event.
+  const Table* first_table = steps_.empty() ? nullptr : f.steps[0].table;
+  const Table::HashIndex* first_index =
+      events.size() > 1 && plan_->batch_first_key && first_table != nullptr
+          ? &first_table->IndexFor(*steps_[0].sig)
+          : nullptr;
+  std::vector<const TupleRef*> candidates;
+  bool have_run = false;
+  uint64_t run_hash = 0;
+  for (size_t i = 0; i < events.size(); ++i) {
+    uint64_t hash = 0;
+    if (first_index == nullptr || !FirstKeyHash(*plan_, *events[i], &hash)) {
+      run(i, nullptr);  // probes for itself (or cannot match the trigger)
+      continue;
+    }
+    if (!have_run || hash != run_hash) {
+      candidates.clear();
+      first_table->CollectFromIndex(*first_index, hash, candidates);
+      have_run = true;
+      run_hash = hash;
+    }
+    run(i, &candidates);
   }
   return out;
 }

@@ -1,33 +1,43 @@
-// Set-at-a-time rule evaluation over a batch of same-relation events
-// (ROADMAP item 2; the VLog RuleExecutor idea adapted to the planned
-// evaluator). The runtime drains every same-(node, relation) event
-// scheduled at one simulated instant (EventQueue::DrainAtTime) and
-// evaluates each compiled RulePlan once over the whole batch instead of
-// once per tuple:
+// The rule evaluator (§3.1): each DELP rule is compiled once, when the
+// runtime is built, into positional form, and every dispatch applies it
+// to a batch of one or more same-relation events (the VLog RuleExecutor
+// idea: join and copy positions precomputed per rule, one evaluate path).
 //
-//   * one PlanExecutor per (rule, batch) amortizes the bindings map,
-//     trail, join scratch and probe-key buffers across every event;
-//   * when the plan's first probe key reads straight off the event tuple
-//     (RulePlan::batch_first_key), events are hashed and chained into
-//     same-key groups (O(n), no sort), and each distinct key's index
-//     bucket is fetched once and shared by the whole group
-//     (Table::CollectFromIndex) — the per-tuple key build, hash and
-//     bucket lookup leave the inner loop entirely;
-//   * content-identical events within a group evaluate once: evaluation
-//     is a pure function of (event content, database), so a duplicate's
-//     result is the representative's, recorded by reference (`same_as`)
-//     rather than recomputed or deep-copied;
-//   * results come back per event, in the batch's original order, so the
-//     caller can emit firings, recorder hooks and sends in exactly the
-//     tuple-at-a-time sequence (the determinism contract, docs/perf.md).
+// CompiledRule turns a rule and its plan (src/analysis/planner.h: join
+// order, pushdown placement, folded constraints, index signatures) into
+// ops over dense value slots. Every variable resolves to a slot index at
+// compile time, so the per-event loop never looks a name up:
 //
-// FireRuleBatched(events)[i] is equivalent — firings, order, and status —
-// to FireRulePlanned(events[i]) for every i: evaluation is pure (it reads
-// the database and writes nothing), so factoring it out of the per-event
-// loop cannot change any single event's result.
+//   * the event atom and each condition atom become bind / check-slot /
+//     check-constant ops over tuple positions (MatchAtom's unification);
+//   * each plan step probes its relation's lazily built hash index with a
+//     key read from slots, or scans the table when no column is bound;
+//   * assignments and constraints run at their pushed-down plan position
+//     as expressions over slots, with EvalBinary's operator semantics and
+//     registry functions resolved once;
+//   * a never-firing plan yields no firings, and a head variable no body
+//     term binds yields InstantiateAtom's error at every derivation.
+//
+// FireBatch evaluates the rule for every event of a batch, in batch
+// order. When step 0's probe key reads straight off the event tuple
+// (RulePlan::batch_first_key), consecutive events with the same key share
+// one fetch of their index bucket. Results come back per event, aligned
+// with the batch, so the caller can emit firings, recorder hooks and
+// sends in exactly the tuple-at-a-time sequence (docs/perf.md).
+//
+// Contract (docs/ndlog.md): evaluation only reads the database, so
+// FireBatch(events)[i] equals FireBatch({events[i]})[0] in firings, firing
+// order and status; and for well-typed programs the firing set equals the
+// naive oracle FireRule's, with RuleFiring.slow_tuples in body-atom order.
+// Index buckets keep insertion order, so when the plan keeps body order
+// the firing sequence is FireRule's as well.
 #ifndef DPC_RUNTIME_BATCH_EVAL_H_
 #define DPC_RUNTIME_BATCH_EVAL_H_
 
+#include <cstdint>
+#include <map>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/planner.h"
@@ -38,41 +48,90 @@ namespace dpc {
 // One batch member's evaluation result: the firings the event produced
 // under the rule (possibly none) and the per-(event, rule) status —
 // errors stay confined to the event that caused them, exactly as in
-// tuple-at-a-time evaluation.
+// tuple-at-a-time evaluation. On error `firings` is empty.
 struct BatchEventFirings {
   Status status;
   std::vector<RuleFiring> firings;
-  // Memoized duplicate: when >= 0, this event was content-identical to
-  // batch member `same_as` and its logical firings are that entry's
-  // (evaluation is pure, so identical events have identical results).
-  // `firings` is left empty here; `status` is still this entry's own
-  // (copied from the representative). Resolve with FiringsOf.
-  int32_t same_as = -1;
-  // Set on a representative some later duplicate points at. Consumers
-  // that destructively move out of `firings` must copy when this is set
-  // (the duplicates still need the originals).
-  bool shared = false;
 };
 
-// The logical firings of batch member `i`, following `same_as` when the
-// entry is a memoized duplicate (at most one hop: representatives are
-// first occurrences and never duplicates themselves).
-inline const std::vector<RuleFiring>& FiringsOf(
-    const std::vector<BatchEventFirings>& all, size_t i) {
-  const BatchEventFirings& r = all[i];
-  return r.same_as >= 0 ? all[static_cast<size_t>(r.same_as)].firings
-                        : r.firings;
-}
+class CompiledRule {
+ public:
+  // Compiles `rule` under `plan` (which must have been compiled from it).
+  // All three must outlive the CompiledRule.
+  CompiledRule(const Rule& rule, const RulePlan& plan,
+               const FunctionRegistry& fns);
 
-// Evaluates `rule` under `plan` (compiled from it) for every event of a
-// same-relation batch. Returns one entry per event, aligned with
-// `events`; entry i matches FireRulePlanned(rule, plan, *events[i], ...)
-// in firings, firing order, and status. The database must not change for
-// the duration of the call (the caller defers all emission to afterwards).
-std::vector<BatchEventFirings> FireRuleBatched(
-    const Rule& rule, const RulePlan& plan,
-    const std::vector<const Tuple*>& events, const Database& db,
-    const FunctionRegistry& fns);
+  // Evaluates the rule for every event of `events`. Returns one entry per
+  // event, aligned with `events`. The database must not change for the
+  // duration of the call. Const and thread-safe: all scratch is per call,
+  // so shard workers share one CompiledRule.
+  std::vector<BatchEventFirings> FireBatch(
+      const std::vector<const Tuple*>& events, const Database& db) const;
+
+ private:
+  // One tuple position of an atom.
+  struct Op {
+    enum class Kind : uint8_t { kBind, kCheckSlot, kCheckConst };
+    Kind kind = Kind::kCheckConst;
+    uint32_t pos = 0;                 // tuple position read
+    uint32_t slot = 0;                // kBind / kCheckSlot
+    const Value* constant = nullptr;  // kCheckConst
+  };
+  // An expression with each variable resolved to a slot.
+  struct SlotExpr {
+    const Expr* expr = nullptr;  // kind, operator, constant, function name
+    int32_t slot = -1;           // kVar: the slot read; -1 if unbound here
+    const NdlogFunction* fn = nullptr;  // kCall: null if not registered
+    std::vector<SlotExpr> args;  // kBinary: {lhs, rhs}; kCall: arguments
+  };
+  // `var := expr`: binds a fresh slot, or filters on the bound value.
+  struct Assign {
+    SlotExpr expr;
+    uint32_t slot = 0;
+    bool binds = false;
+  };
+  // The assignments, then constraints, placed at one plan position.
+  struct Filters {
+    std::vector<Assign> assignments;
+    std::vector<SlotExpr> constraints;
+  };
+  // A probe key or head column: a slot, or (slot < 0) a constant.
+  using Source = std::pair<int32_t, const Value*>;
+  struct Step {
+    const std::string* relation = nullptr;
+    const IndexSignature* sig = nullptr;  // empty: scan the table
+    size_t arity = 0;
+    std::vector<Source> key;  // in sig's column order
+    std::vector<Op> ops;
+    Filters filters;
+  };
+  struct Frame;  // per-call scratch (batch_eval.cc)
+
+  static SlotExpr CompileExpr(const Expr& expr,
+                              const std::map<std::string, uint32_t>& slot_of,
+                              const FunctionRegistry& fns);
+
+  // MatchAtom's unification over precompiled ops (callers check the
+  // relation and arity).
+  static bool Match(const std::vector<Op>& ops, const Tuple& t, Frame& f);
+  Status Execute(const Tuple& event,
+                 const std::vector<const TupleRef*>* first_candidates,
+                 Frame& f, std::vector<RuleFiring>& out) const;
+  Status Join(size_t idx, Frame& f) const;
+  Status Emit(Frame& f) const;
+  Result<bool> Apply(const Filters& filters, Frame& f) const;
+  Result<Value> Eval(const SlotExpr& e, const Frame& f) const;
+
+  const Rule* rule_;
+  const RulePlan* plan_;
+  const FunctionRegistry* fns_;
+  uint32_t num_slots_ = 0;
+  std::vector<Op> event_ops_;
+  Filters pre_;
+  std::vector<Step> steps_;
+  std::vector<Source> head_;
+  Status head_error_;  // a head variable no body term binds
+};
 
 }  // namespace dpc
 

@@ -1,7 +1,6 @@
 #include "src/runtime/system.h"
 
 #include <chrono>
-#include <set>
 #include <utility>
 
 #include "src/net/shard_engine.h"
@@ -57,39 +56,18 @@ System::System(const Program* program, const Topology* topology,
     batched_firings_counters_.push_back(
         &reg.GetCounter("system.batched_firings." + r.id));
   }
-  // Static batchability (docs/perf.md): a trigger relation batches only
-  // when no rule it triggers derives a head relation that any rule it
-  // triggers also conditions on — EmitOutput inserts heads into the local
-  // database synchronously, and a same-instant insert visible to later
-  // events under tuple-at-a-time must not be hidden by pre-collecting the
-  // batch. (Event heads are exempt implicitly: they travel through the
-  // network with a strictly positive local delay.)
-  {
-    std::set<std::string> trigger_relations;
-    for (const Rule& r : program_->rules()) {
-      trigger_relations.insert(r.EventAtom().relation);
-    }
-    uint64_t ordinal = 1;
-    for (const std::string& rel : trigger_relations) {
-      std::vector<const Rule*> triggered = program_->RulesTriggeredBy(rel);
-      std::set<std::string> condition_relations;
-      for (const Rule* r : triggered) {
-        for (size_t i = 0; i < r->atoms.size(); ++i) {
-          if (i != r->event_index) {
-            condition_relations.insert(r->atoms[i].relation);
-          }
-        }
-      }
-      bool batchable = true;
-      for (const Rule* r : triggered) {
-        if (condition_relations.count(r->head.relation) > 0) {
-          batchable = false;
-          break;
-        }
-      }
-      if (batchable) batch_relation_ids_.emplace(rel, ordinal++);
-    }
+  compiled_.reserve(program_->rules().size());
+  for (size_t i = 0; i < program_->rules().size(); ++i) {
+    const Rule& r = program_->rules()[i];
+    compiled_.emplace_back(r, plan_.rules[i], functions_);
+    batch_relation_ids_.emplace(r.EventAtom().relation, 0);
   }
+  // Every trigger relation batches: DELP condition 3 (E104, enforced on
+  // every Program) keeps head relations out of condition atoms, so no
+  // emission can change what a later evaluation reads. Ordinals follow
+  // relation-name order.
+  uint64_t ordinal = 0;
+  for (auto& [relation, id] : batch_relation_ids_) id = ++ordinal;
   tracer_ = &Trace();
   channel_->SetDeliveryHandler([this](const Message& msg) {
     Status st = HandleMessage(msg);
@@ -231,43 +209,35 @@ ProvMeta System::RunEventHook(NodeId node, const TupleRef& tuple,
 
 void System::Dispatch(NodeId node, const TupleRef& tuple, const ProvMeta& meta,
                       bool is_arrival, uint64_t tag) {
-  if (tls_collector_ != nullptr) {
-    if (tls_collector_owner_ == this) {
-      // A batch drain is collecting on this thread: defer the event.
-      tls_collector_->push_back(PendingEvent{tuple, meta, is_arrival});
-      return;
-    }
-    // Another System's drain is in progress (shared queue, colliding
-    // tags): process tuple-at-a-time rather than nest a second drain.
-  } else if (batch_eval_ && tag != 0 &&
-             TryProcessBatch(node, tuple, meta, is_arrival, tag)) {
+  if (tls_collector_owner_ == this) {
+    // A batch drain is collecting on this thread: defer the event.
+    tls_collector_->push_back(PendingEvent{tuple, meta, is_arrival});
     return;
   }
-  ProvMeta m = RunEventHook(node, tuple, meta, is_arrival);
-  ProcessEvent(node, tuple, m);
-}
-
-bool System::TryProcessBatch(NodeId node, const TupleRef& tuple,
-                             const ProvMeta& meta, bool is_arrival,
-                             uint64_t tag) {
-  EventQueue* q = EventQueue::Current();
+  std::vector<PendingEvent> batch;
+  batch.push_back(PendingEvent{tuple, meta, is_arrival});
   // Only the event the queue itself just popped may drain its peers: a
   // direct HandleMessage call (tests, replay) has no queue context, and
   // the next entry must fire at this same instant with this same tag.
-  if (q == nullptr || q->HeadTagAtNow() != tag) return false;
-  std::vector<PendingEvent> batch;
-  batch.push_back(PendingEvent{tuple, meta, is_arrival});
-  tls_collector_ = &batch;
-  tls_collector_owner_ = this;
-  q->DrainAtTime(tag);
-  tls_collector_ = nullptr;
-  tls_collector_owner_ = nullptr;
+  // While another System's drain is in progress on this thread (shared
+  // queue, colliding tags) the event runs alone rather than nest a drain.
+  EventQueue* q = batch_eval_ && tag != 0 && tls_collector_ == nullptr
+                      ? EventQueue::Current()
+                      : nullptr;
+  if (q != nullptr && q->HeadTagAtNow() == tag) {
+    tls_collector_ = &batch;
+    tls_collector_owner_ = this;
+    q->DrainAtTime(tag);
+    tls_collector_ = nullptr;
+    tls_collector_owner_ = nullptr;
+  }
   ProcessBatch(node, batch);
-  return true;
 }
 
 void System::ProcessBatch(NodeId node, std::vector<PendingEvent>& batch) {
-  metrics_.batch_size->Observe(static_cast<double>(batch.size()));
+  // Batch metrics count drained batches only (two or more events).
+  const bool drained = batch.size() > 1;
+  if (drained) metrics_.batch_size->Observe(static_cast<double>(batch.size()));
   std::vector<const Rule*> rules =
       program_->RulesTriggeredBy(batch.front().tuple->relation());
   std::vector<const Tuple*> events;
@@ -275,29 +245,34 @@ void System::ProcessBatch(NodeId node, std::vector<PendingEvent>& batch) {
   for (const PendingEvent& pe : batch) events.push_back(pe.tuple.get());
 
   // Phase A: evaluate each rule once over the whole batch. Pure — reads
-  // the local database only — so every event sees exactly the state it
-  // would have seen tuple-at-a-time (the static batchability guard rules
-  // out same-instant local inserts into probed relations).
+  // the local database only — and no emission of Phase B can change what
+  // it read (E104: head relations are never condition atoms), so every
+  // event sees exactly the state it would have seen tuple-at-a-time.
   bool tracing = tracer_->enabled();
   std::vector<std::vector<BatchEventFirings>> results(rules.size());
   for (size_t ri = 0; ri < rules.size(); ++ri) {
     const Rule* rule = rules[ri];
+    // RulesTriggeredBy returns pointers into program_->rules(), so the
+    // offset recovers the rule's compiled form.
     size_t rule_index = static_cast<size_t>(rule - program_->rules().data());
     auto eval_start = tracing ? WallClock::now() : WallClock::time_point{};
-    results[ri] = FireRuleBatched(*rule, plan_.rules[rule_index], events,
-                                  dbs_[node], functions_);
+    results[ri] = compiled_[rule_index].FireBatch(events, dbs_[node]);
+    if (!drained && !tracing) continue;
     uint64_t firings = 0;
-    for (size_t e = 0; e < results[ri].size(); ++e) {
-      firings += FiringsOf(results[ri], e).size();
+    for (const BatchEventFirings& r : results[ri]) firings += r.firings.size();
+    if (drained) {
+      batched_firings_counters_[rule_index]->IncrementAt(node, firings);
     }
-    batched_firings_counters_[rule_index]->IncrementAt(node, firings);
-    if (tracing) {
-      tracer_->CompleteAt(
-          node, TraceCat::kBatch, "batch:" + rule->id, NowFor(node),
-          "\"batch_size\": " + std::to_string(batch.size()) +
-              ", \"firings\": " + std::to_string(firings) +
-              ", \"wall_us\": " + std::to_string(WallMicrosSince(eval_start)));
-    }
+    if (!tracing) continue;
+    std::string args =
+        drained ? "\"batch_size\": " + std::to_string(batch.size())
+                : "\"plan_steps\": " +
+                      std::to_string(plan_.rules[rule_index].steps.size());
+    args += ", \"firings\": " + std::to_string(firings) +
+            ", \"wall_us\": " + std::to_string(WallMicrosSince(eval_start));
+    tracer_->CompleteAt(node, drained ? TraceCat::kBatch : TraceCat::kRule,
+                        (drained ? "batch:" : "fire:") + rule->id,
+                        NowFor(node), std::move(args));
   }
 
   // Phase B: emit per event, in batch (= queue sequence) order — the
@@ -307,58 +282,15 @@ void System::ProcessBatch(NodeId node, std::vector<PendingEvent>& batch) {
     PendingEvent& pe = batch[e];
     ProvMeta meta = RunEventHook(node, pe.tuple, pe.meta, pe.is_arrival);
     for (size_t ri = 0; ri < rules.size(); ++ri) {
-      BatchEventFirings& own = results[ri][e];
-      if (!own.status.ok()) {
+      BatchEventFirings& r = results[ri][e];
+      if (!r.status.ok()) {
         DPC_LOG(Error) << "rule " << rules[ri]->id
-                       << " failed: " << own.status.ToString();
+                       << " failed: " << r.status.ToString();
         continue;
       }
-      // A memoized duplicate emits the representative's firings; a
-      // representative some duplicate still needs keeps its firings
-      // intact, so emission copies instead of moving out of them.
-      BatchEventFirings& bf =
-          own.same_as >= 0 ? results[ri][static_cast<size_t>(own.same_as)]
-                           : own;
-      for (RuleFiring& f : bf.firings) {
-        if (bf.shared) {
-          RuleFiring copy = f;
-          EmitFiring(node, *rules[ri], pe.tuple, meta, copy);
-        } else {
-          EmitFiring(node, *rules[ri], pe.tuple, meta, f);
-        }
+      for (RuleFiring& f : r.firings) {
+        EmitFiring(node, *rules[ri], pe.tuple, meta, f);
       }
-    }
-  }
-}
-
-void System::ProcessEvent(NodeId node, const TupleRef& tuple,
-                          const ProvMeta& meta) {
-  std::vector<const Rule*> rules =
-      program_->RulesTriggeredBy(tuple->relation());
-  for (const Rule* rule : rules) {
-    // RulesTriggeredBy returns pointers into program_->rules(), so the
-    // offset recovers the rule's statically compiled plan.
-    size_t rule_index = static_cast<size_t>(rule - program_->rules().data());
-    const RulePlan& rule_plan = plan_.rules[rule_index];
-    bool tracing = tracer_->enabled();
-    auto eval_start = tracing ? WallClock::now() : WallClock::time_point{};
-    Result<std::vector<RuleFiring>> firings =
-        FireRulePlanned(*rule, rule_plan, *tuple, dbs_[node], functions_);
-    if (tracing) {
-      tracer_->CompleteAt(
-          node, TraceCat::kRule, "fire:" + rule->id, NowFor(node),
-          "\"plan_steps\": " + std::to_string(rule_plan.steps.size()) +
-              ", \"firings\": " +
-              std::to_string(firings.ok() ? firings->size() : 0) +
-              ", \"wall_us\": " + std::to_string(WallMicrosSince(eval_start)));
-    }
-    if (!firings.ok()) {
-      DPC_LOG(Error) << "rule " << rule->id
-                     << " failed: " << firings.status().ToString();
-      continue;
-    }
-    for (RuleFiring& f : *firings) {
-      EmitFiring(node, *rule, tuple, meta, f);
     }
   }
 }
@@ -492,11 +424,7 @@ Status System::HandleMessage(const Message& msg) {
         meta = std::move(m).value();
       }
       NodeId node = msg.dst;
-      // Intern (when enabled) so repeated identical deliveries share one
-      // allocation and its memoized identities.
-      TupleRef ev = interning_enabled_
-                        ? interner_.Intern(std::move(tuple).value())
-                        : MakeTupleRef(std::move(tuple).value());
+      TupleRef ev = MakeTupleRef(std::move(tuple).value());
       if (!program_->RulesTriggeredBy(ev->relation()).empty()) {
         Dispatch(node, ev, meta, /*is_arrival=*/true, msg.batch_tag);
       } else {

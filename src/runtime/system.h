@@ -4,6 +4,12 @@
 // to the node named by their location specifier. A ProvenanceRecorder
 // observes every injection / rule firing / output and maintains the
 // provenance storage under its scheme.
+//
+// Each rule is compiled once, at construction, into the positional
+// executor (src/runtime/batch_eval.h). Every dispatch is a batch: the
+// event alone, or with the same-instant, same-(node, relation) events the
+// queue drains behind it. ProcessBatch is the one place rules are
+// evaluated.
 #ifndef DPC_RUNTIME_SYSTEM_H_
 #define DPC_RUNTIME_SYSTEM_H_
 
@@ -15,7 +21,6 @@
 
 #include "src/analysis/planner.h"
 #include "src/core/recorder.h"
-#include "src/db/intern.h"
 #include "src/db/table.h"
 #include "src/ndlog/eval.h"
 #include "src/ndlog/program.h"
@@ -23,6 +28,7 @@
 
 #include "src/net/event_queue.h"
 #include "src/net/network.h"
+#include "src/runtime/batch_eval.h"
 #include "src/runtime/replay.h"
 #include "src/util/result.h"
 
@@ -101,18 +107,12 @@ class System {
   // the System.
   void SetReplayLog(ReplayLog* log) { replay_log_ = log; }
 
-  // When enabled, tuples deserialized from incoming messages are interned:
-  // repeated identical deliveries share one allocation (and its memoized
-  // identities) instead of re-hashing per arrival. Off by default — unique
-  // per-event workloads gain nothing from pooling.
-  void EnableInterning(bool enabled) { interning_enabled_ = enabled; }
-  const TupleInterner& interner() const { return interner_; }
-
-  // Toggles set-at-a-time batch evaluation (on by default): same-instant,
-  // same-(node, relation) events drain into one batch whose rules are
-  // evaluated once per batch (src/runtime/batch_eval.h), with firings,
-  // recorder hooks and sends emitted in exactly the tuple-at-a-time order
-  // — provenance bytes, storage accounting and query answers are
+  // Toggles draining (on by default): same-instant, same-(node, relation)
+  // events drain into one batch whose rules are evaluated once per batch
+  // (src/runtime/batch_eval.h), with firings, recorder hooks and sends
+  // emitted in exactly the tuple-at-a-time order. Off, every event is a
+  // batch of one — the reference the batched-vs-unbatched tests compare
+  // against: provenance bytes, storage accounting and query answers are
   // byte-identical either way (docs/perf.md).
   void SetBatchEval(bool enabled) { batch_eval_ = enabled; }
   bool batch_eval() const { return batch_eval_; }
@@ -136,9 +136,6 @@ class System {
     return s;
   }
   const Program& program() const { return *program_; }
-  // The statically compiled evaluation plan (one RulePlan per program
-  // rule, in rule order) that ProcessEvent executes via FireRulePlanned.
-  const ProgramPlan& plan() const { return plan_; }
   const FunctionRegistry& functions() const { return functions_; }
   ProvenanceRecorder* recorder() const { return recorder_; }
   const Topology& topology() const { return *topology_; }
@@ -154,30 +151,27 @@ class System {
   };
 
   // Shared entry for injected and delivered trigger events. Appends to the
-  // active batch collector when one is draining, starts a batch when the
-  // queue's next entry carries the same tag, and otherwise processes the
-  // event tuple-at-a-time.
+  // active batch collector when one is draining; otherwise drains the
+  // queue's same-instant, same-tag peers behind the event (if any) and
+  // processes the batch.
   void Dispatch(NodeId node, const TupleRef& tuple, const ProvMeta& meta,
                 bool is_arrival, uint64_t tag);
-  bool TryProcessBatch(NodeId node, const TupleRef& tuple,
-                       const ProvMeta& meta, bool is_arrival, uint64_t tag);
-  // Phase A: per-rule set-at-a-time evaluation (pure; reads dbs_ only).
-  // Phase B: per event in batch order, pre-hooks then firing emission —
-  // the exact tuple-at-a-time sequence of recorder calls and sends.
+  // Phase A: per-rule evaluation over the whole batch (pure; reads dbs_
+  // only). Phase B: per event in batch order, pre-hooks then firing
+  // emission — the exact tuple-at-a-time sequence of recorder calls and
+  // sends.
   void ProcessBatch(NodeId node, std::vector<PendingEvent>& batch);
   // OnArrival (arrivals) / OnInject (injections, returns the meta).
   ProvMeta RunEventHook(NodeId node, const TupleRef& tuple,
                         const ProvMeta& meta, bool is_arrival);
   // Routes one rule firing: counters, head validation, OnRuleFired, then
-  // send/output. Shared by ProcessEvent and ProcessBatch so emission is
-  // identical byte-for-byte on both paths.
+  // send/output.
   void EmitFiring(NodeId node, const Rule& rule, const TupleRef& tuple,
                   const ProvMeta& meta, RuleFiring& f);
-  // Batch tag for deliveries of `relation` at `node`; 0 when the relation
-  // is not statically batchable or batching is off.
+  // Batch tag for deliveries of `relation` at `node`; 0 when `relation`
+  // triggers no rule or batching is off.
   uint64_t BatchTagFor(NodeId node, const std::string& relation) const;
 
-  void ProcessEvent(NodeId node, const TupleRef& tuple, const ProvMeta& meta);
   void EmitOutput(NodeId node, const TupleRef& tuple, const ProvMeta& meta);
   void SendEvent(NodeId from, const TupleRef& tuple, const ProvMeta& meta);
   std::vector<uint8_t> EncodeEventPayload(const Tuple& tuple,
@@ -189,24 +183,22 @@ class System {
   SimTime GlobalNow() const;
 
   const Program* program_;
-  ProgramPlan plan_;
+  ProgramPlan plan_;  // one RulePlan per program rule, in rule order
   const Topology* topology_;
   MessageChannel* channel_;
   EventQueue* queue_;
   FunctionRegistry functions_;
   ProvenanceRecorder* recorder_;
 
+  // Each program rule compiled over plan_ and functions_, in rule order.
+  // Shared read-only by shard workers.
+  std::vector<CompiledRule> compiled_;
+
   ReplayLog* replay_log_ = nullptr;
-  bool interning_enabled_ = false;
   bool batch_eval_ = true;
-  TupleInterner interner_;
   ShardEngine* engine_ = nullptr;
-  // Statically batchable trigger relations -> tag ordinal (>= 1), computed
-  // once at construction. A trigger relation is batchable when no
-  // triggered rule derives a head that is a condition relation of a
-  // triggered rule — otherwise a same-instant local output could be
-  // visible to later batch members under tuple-at-a-time evaluation but
-  // not under a pre-collected batch. Read-only after the constructor.
+  // Trigger relations -> batch tag ordinal (>= 1), computed once at
+  // construction; read-only afterwards.
   std::map<std::string, uint64_t> batch_relation_ids_;
   // The batch collector active on this thread, if any: DrainAtTime runs
   // peers' queue entries whose Dispatch must append here instead of
@@ -240,8 +232,9 @@ class System {
     Counter* invalid_heads;
     Histogram* batch_size;
   } metrics_;
-  // Firings produced via the batched path, one counter per program rule
-  // ("system.batched_firings.<rule id>"), indexed by rule position.
+  // Firings produced in drained batches (two or more events), one counter
+  // per program rule ("system.batched_firings.<rule id>"), indexed by rule
+  // position.
   std::vector<Counter*> batched_firings_counters_;
   Tracer* tracer_;
 };

@@ -27,7 +27,6 @@ void AccumulateInto(IdentityCounters& total, const IdentityCells& cells) {
   total.tuple_bytes_serialized += cells.tuple_bytes_serialized.load();
   total.vid_cache_hits += cells.vid_cache_hits.load();
   total.vid_cache_misses += cells.vid_cache_misses.load();
-  total.tuples_interned += cells.tuples_interned.load();
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Process-wide counters for the tuple-identity hot path: SHA-1 digest
-// computations, tuple bytes serialized, identity-cache hit rates, and
-// intern-pool hits. The counters are monotone and meant to be read as
-// deltas (snapshot before a run, subtract after) — see
+// computations, tuple bytes serialized and identity-cache hit rates. The
+// counters are monotone and meant to be read as deltas (snapshot before a
+// run, subtract after) — see
 // ExperimentResult::identity in src/apps/experiments.h.
 //
 // Concurrency: each thread increments its own thread-local cell block
@@ -30,8 +30,6 @@ struct IdentityCounters {
   // Tuple::Vid() calls answered from the memoized digest / computed fresh.
   uint64_t vid_cache_hits = 0;
   uint64_t vid_cache_misses = 0;
-  // TupleInterner::Intern calls that found an existing pooled tuple.
-  uint64_t tuples_interned = 0;
 
   IdentityCounters operator-(const IdentityCounters& o) const {
     IdentityCounters d;
@@ -39,7 +37,6 @@ struct IdentityCounters {
     d.tuple_bytes_serialized = tuple_bytes_serialized - o.tuple_bytes_serialized;
     d.vid_cache_hits = vid_cache_hits - o.vid_cache_hits;
     d.vid_cache_misses = vid_cache_misses - o.vid_cache_misses;
-    d.tuples_interned = tuples_interned - o.tuples_interned;
     return d;
   }
 };
@@ -68,7 +65,6 @@ struct IdentityCells {
   OwnedCounter tuple_bytes_serialized;
   OwnedCounter vid_cache_hits;
   OwnedCounter vid_cache_misses;
-  OwnedCounter tuples_interned;
 
   // Tag for scratch cell blocks that never join the registry: their
   // counts are discarded, not retired (see IdentityPauseGuard).

@@ -544,5 +544,20 @@ TEST(LintJsonTest, WerrorFlipsExitCodeOnWarnings) {
   EXPECT_EQ(LintExitCode(broken, options), 1);
 }
 
+// Constant folding must not trap on INT64_MIN / -1 (SIGFPE): the
+// overflowing assignment simply does not fold.
+TEST(LintJsonTest, OverflowingConstantExpressionLintsWithoutCrashing) {
+  LintOptions options;
+  std::vector<FileLint> results;
+  results.push_back(LintSource(
+      "overflow.ndlog",
+      "r1 out(@L, Q) :- ev(@L, A), "
+      "Q := (0 - 9223372036854775807 - 1) / (0 - 1).\n",
+      options));
+  std::string text = RenderText(results, options);
+  EXPECT_NE(text.find("overflow.ndlog: 0 errors"), std::string::npos) << text;
+  EXPECT_EQ(LintExitCode(results, options), 0);
+}
+
 }  // namespace
 }  // namespace dpc

@@ -1,10 +1,10 @@
-// Differential oracle for the planned evaluator (src/analysis/planner.h):
-// on the same rule, database, and event, FireRulePlanned must produce
-// exactly the firing set of the naive FireRule — same heads, same joined
-// slow tuples in body-atom order. Exercised over the two example
-// applications (forwarding, DNS) and 100 seeded random DELPs whose rules
-// mix bound joins, scans, cross products, assignment chains, and
-// foldable constraints.
+// Differential oracle for the rule executor (src/runtime/batch_eval.h):
+// on the same rule, database, and event, the rule compiled under its plan
+// (src/analysis/planner.h) must produce exactly the firing set of the
+// naive FireRule — same heads, same joined slow tuples in body-atom
+// order. Exercised over the two example applications (forwarding, DNS)
+// and 100 seeded random DELPs whose rules mix bound joins, scans, cross
+// products, assignment chains, and foldable constraints.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "src/ndlog/eval.h"
 #include "src/ndlog/functions.h"
 #include "src/ndlog/parser.h"
+#include "src/runtime/batch_eval.h"
 #include "src/util/rng.h"
 
 namespace dpc {
@@ -38,7 +39,7 @@ std::vector<std::string> Canon(const std::vector<RuleFiring>& firings) {
 
 // Fires every rule of `rules` triggered by each event with both
 // evaluators and asserts identical firing sets. Returns the total number
-// of (non-empty) planned firings so callers can assert coverage.
+// of executor firings so callers can assert coverage.
 size_t CheckOracle(const std::vector<Rule>& rules,
                    const std::vector<RulePlan>& plans, const Database& db,
                    const std::vector<Tuple>& events,
@@ -50,14 +51,15 @@ size_t CheckOracle(const std::vector<Rule>& rules,
       if (rule.EventAtom().relation != event.relation()) continue;
       if (rule.EventAtom().args.size() != event.arity()) continue;
       auto naive = FireRule(rule, event, db, fns);
-      auto planned = FireRulePlanned(rule, plans[i], event, db, fns);
-      EXPECT_EQ(naive.ok(), planned.ok())
+      BatchEventFirings planned =
+          CompiledRule(rule, plans[i], fns).FireBatch({&event}, db).front();
+      EXPECT_EQ(naive.ok(), planned.status.ok())
           << rule.ToString() << "\nnaive: " << naive.status().ToString()
-          << "\nplanned: " << planned.status().ToString();
-      if (!naive.ok() || !planned.ok()) continue;
-      EXPECT_EQ(Canon(*naive), Canon(*planned))
+          << "\nplanned: " << planned.status.ToString();
+      if (!naive.ok() || !planned.status.ok()) continue;
+      EXPECT_EQ(Canon(*naive), Canon(planned.firings))
           << rule.ToString() << "\nevent " << event.ToString();
-      total_firings += planned->size();
+      total_firings += planned.firings.size();
     }
   }
   return total_firings;

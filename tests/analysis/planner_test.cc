@@ -1,7 +1,7 @@
 // Unit tests for the analysis-driven rule compiler: greedy join ordering,
 // constraint/assignment pushdown, constant folding, index-signature
-// derivation, planned execution, the cost model, and the W601–N604 plan
-// diagnostics.
+// derivation, executing a compiled plan, the cost model, and the
+// W601–N604 plan diagnostics.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,9 +13,17 @@
 #include "src/analysis/planner.h"
 #include "src/apps/forwarding.h"
 #include "src/ndlog/parser.h"
+#include "src/runtime/batch_eval.h"
 
 namespace dpc {
 namespace {
+
+// Executes `rule` under `plan` for one event: the runtime's evaluator.
+BatchEventFirings FireOne(const Rule& rule, const RulePlan& plan,
+                          const Tuple& event, const Database& db) {
+  FunctionRegistry fns;
+  return CompiledRule(rule, plan, fns).FireBatch({&event}, db).front();
+}
 
 Rule ParseOneRule(const std::string& source) {
   auto rules = ParseRules(source);
@@ -110,10 +118,10 @@ TEST(PlannerTest, AlwaysFalseConstraintMarksNeverFires) {
 
   Database db;
   db.Insert(Tuple::Make("s", 0, {Value::Int(1)}));
-  auto firings = FireRulePlanned(rule, plan, Tuple::Make("e", 0, {Value::Int(1)}),
-                                 db, FunctionRegistry{});
-  ASSERT_TRUE(firings.ok());
-  EXPECT_TRUE(firings->empty());
+  BatchEventFirings firings =
+      FireOne(rule, plan, Tuple::Make("e", 0, {Value::Int(1)}), db);
+  ASSERT_TRUE(firings.status.ok());
+  EXPECT_TRUE(firings.firings.empty());
 }
 
 TEST(PlannerTest, CrossProductIsOnlyTheSecondZeroCoverageProbe) {
@@ -152,22 +160,21 @@ TEST(PlannerTest, PlannedFiringRestoresBodyOrderSlowTuples) {
   db.Insert(sb);
   Tuple event = Tuple::Make("e", 0, {Value::Int(1)});
 
-  auto planned = FireRulePlanned(rule, plan, event, db, FunctionRegistry{});
-  ASSERT_TRUE(planned.ok());
-  ASSERT_EQ(planned->size(), 1u);
-  ASSERT_EQ(planned->front().slow_tuples.size(), 2u);
-  EXPECT_EQ(*planned->front().slow_tuples[0], sa);
-  EXPECT_EQ(*planned->front().slow_tuples[1], sb);
+  BatchEventFirings planned = FireOne(rule, plan, event, db);
+  ASSERT_TRUE(planned.status.ok());
+  ASSERT_EQ(planned.firings.size(), 1u);
+  const RuleFiring& firing = planned.firings.front();
+  ASSERT_EQ(firing.slow_tuples.size(), 2u);
+  EXPECT_EQ(*firing.slow_tuples[0], sa);
+  EXPECT_EQ(*firing.slow_tuples[1], sb);
 
   auto naive = FireRule(rule, event, db, FunctionRegistry{});
   ASSERT_TRUE(naive.ok());
   ASSERT_EQ(naive->size(), 1u);
-  EXPECT_EQ(naive->front().head, planned->front().head);
-  ASSERT_EQ(naive->front().slow_tuples.size(),
-            planned->front().slow_tuples.size());
+  EXPECT_EQ(naive->front().head, firing.head);
+  ASSERT_EQ(naive->front().slow_tuples.size(), firing.slow_tuples.size());
   for (size_t i = 0; i < naive->front().slow_tuples.size(); ++i) {
-    EXPECT_EQ(*naive->front().slow_tuples[i],
-              *planned->front().slow_tuples[i]);
+    EXPECT_EQ(*naive->front().slow_tuples[i], *firing.slow_tuples[i]);
   }
 }
 

@@ -3,6 +3,12 @@
 // The engines' wall-clock cost may change; what they report may not. For
 // forwarding and DNS under ExSPAN, Basic, Advanced and Advanced with
 // inter-class sharing, each run queries every output in order and records
+//   * per deployment, before any query (the `ingest` line): the runtime
+//     network's bytes, messages, drops and bucket_bytes, SystemStats, a
+//     SHA-1 over AllOutputs() in order (tuple, time as a hex float,
+//     serialized meta) and a SHA-1 over every node's serialized
+//     provenance state — the runtime's own output, which the DNS
+//     fixture's same-instant bursts send through batched evaluation;
 //   * per query: the reported latency_s (exact, as a hex float), hops,
 //     entries touched, bytes transferred and the SHA-1 of the serialized
 //     trees in result order (or the failure code);
@@ -180,6 +186,41 @@ std::string TreesDigest(const std::vector<ProvTree>& trees) {
   return Sha1::Hash(w.bytes().data(), w.bytes().size()).ToHex();
 }
 
+std::string Digest(const ByteWriter& w) {
+  return Sha1::Hash(w.bytes().data(), w.bytes().size()).ToHex();
+}
+
+// The deployment's own results after ingest, before any query runs: the
+// runtime network's traffic, the run counters, every output in order
+// (tuple, arrival time, serialized meta) and every node's provenance
+// state.
+std::string IngestLine(Testbed& bed) {
+  const Network& net = bed.network();
+  SystemStats s = bed.system().stats();
+  ByteWriter outputs;
+  for (const OutputRecord& rec : bed.system().AllOutputs()) {
+    rec.tuple.Serialize(outputs);
+    char time[64];
+    std::snprintf(time, sizeof(time), "%a", rec.time);
+    outputs.PutString(time);
+    bed.recorder().SerializeMeta(rec.meta, outputs);
+  }
+  ByteWriter state;
+  for (NodeId n = 0; n < bed.system().topology().num_nodes(); ++n) {
+    bed.recorder().SerializeNodeState(n, state);
+  }
+  std::ostringstream out;
+  out << "ingest bytes=" << net.total_bytes_sent()
+      << " messages=" << net.total_messages()
+      << " dropped=" << net.dropped_messages() << " buckets=";
+  for (uint64_t b : net.bucket_bytes()) out << b << ",";
+  out << " injected=" << s.events_injected << " firings=" << s.rule_firings
+      << " outputs=" << s.outputs << " control=" << s.control_signals
+      << " outputs_sha1=" << Digest(outputs) << " state_sha1=" << Digest(state)
+      << "\n";
+  return out.str();
+}
+
 // Runs every query of `c` and renders its golden section.
 std::string RunSection(const Config& c) {
   // The topologies outlive the testbed and querier built over them.
@@ -209,6 +250,7 @@ std::string RunSection(const Config& c) {
                   c.scheme == Scheme::kAdvancedInterClass;
   std::ostringstream out;
   out << "== " << ConfigName(c) << " ==\n";
+  out << IngestLine(*bed);
   // Renders one line per output, querying each through `query`.
   auto query_all = [&](auto&& query) {
     int index = 0;

@@ -1,12 +1,10 @@
 // Differential tests for the memoized tuple identities: the cached
 // Vid/SerializedSize/Hash64 must equal the values computed the slow way
 // (materialize the canonical encoding, hash the buffer), table and store
-// byte accounting must equal independent buffer-based recomputation, and
-// the intern pool must share allocations without conflating contents.
+// and byte accounting must equal independent buffer-based recomputation.
 #include <gtest/gtest.h>
 
 #include "src/core/prov_tables.h"
-#include "src/db/intern.h"
 #include "src/db/table.h"
 #include "src/db/tuple.h"
 #include "src/util/hash.h"
@@ -109,36 +107,6 @@ TEST(IdentityCacheTest, StoreSharesCallerAllocation) {
   const Tuple* found = store.Find(t->Vid());
   ASSERT_NE(found, nullptr);
   EXPECT_EQ(found, t.get());  // same allocation, not a copy
-}
-
-TEST(InternerTest, InterningSharesAndVerifiesContent) {
-  TupleInterner interner;
-  TupleRef a = interner.Intern(Tuple("r", {Value::Int(1)}));
-  TupleRef b = interner.Intern(Tuple("r", {Value::Int(1)}));
-  TupleRef c = interner.Intern(Tuple("r", {Value::Int(2)}));
-  EXPECT_EQ(a.get(), b.get());  // identical content: one allocation
-  EXPECT_NE(a.get(), c.get());
-  EXPECT_EQ(interner.size(), 2u);
-  EXPECT_EQ(interner.hits(), 1u);
-
-  // The TupleRef overload shares too, without copying on a hit.
-  TupleRef d = interner.Intern(c);
-  EXPECT_EQ(d.get(), c.get());
-  EXPECT_EQ(interner.hits(), 2u);
-}
-
-TEST(InternerTest, EpochFlushBoundsPoolAndKeepsRefsValid) {
-  TupleInterner interner(/*max_entries=*/8);
-  std::vector<TupleRef> held;
-  for (int i = 0; i < 40; ++i) {
-    held.push_back(interner.Intern(Tuple("r", {Value::Int(i)})));
-  }
-  EXPECT_GE(interner.flushes(), 1u);
-  EXPECT_LE(interner.size(), 8u);
-  // Outstanding refs survive the flushes with their contents intact.
-  for (int i = 0; i < 40; ++i) {
-    EXPECT_EQ(held[i]->at(0).AsInt(), i);
-  }
 }
 
 }  // namespace

@@ -5,10 +5,6 @@
 // count actual bytes — after real forwarding and DNS runs, for every
 // scheme. Any drift between the fast path and the bytes on the wire is a
 // bug in the figures.
-//
-// It also asserts that tuple interning is accounting-invisible: the same
-// workload with the intern pool on and off produces byte-identical
-// storage and network totals.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -130,12 +126,11 @@ constexpr Scheme kAllTableSchemes[] = {
 // --- forwarding: 3-node chain, two routes, five packets --------------------
 
 std::unique_ptr<Testbed> RunForwardingChain(const Topology& topo,
-                                            Scheme scheme, bool intern) {
+                                            Scheme scheme) {
   auto program = apps::MakeForwardingProgram();
   EXPECT_TRUE(program.ok());
   auto bed =
       Testbed::Create(std::move(program).value(), &topo, scheme).value();
-  bed->system().EnableInterning(intern);
   NodeId n1 = 0, n2 = 1, n3 = 2;
   EXPECT_TRUE(bed->system().InsertSlowTuple(apps::MakeRoute(n1, n3, n2)).ok());
   EXPECT_TRUE(bed->system().InsertSlowTuple(apps::MakeRoute(n2, n3, n3)).ok());
@@ -163,34 +158,11 @@ Topology MakeChain() {
 TEST(AccountingDifferentialTest, ForwardingStorageMatchesBufferBytes) {
   Topology topo = MakeChain();
   for (Scheme scheme : kAllTableSchemes) {
-    auto bed = RunForwardingChain(topo, scheme, /*intern=*/false);
+    auto bed = RunForwardingChain(topo, scheme);
     for (NodeId n = 0; n < topo.num_nodes(); ++n) CheckNode(*bed, n);
     // Sanity: the run actually recorded something on the chain.
     EXPECT_GT(bed->TotalStorage().Total(), 0u)
         << apps::SchemeName(scheme);
-  }
-}
-
-// Interning changes allocations, never bytes: storage and network
-// accounting must be identical with the pool on and off.
-TEST(AccountingDifferentialTest, InterningIsAccountingInvisible) {
-  Topology topo = MakeChain();
-  for (Scheme scheme : kAllTableSchemes) {
-    auto plain = RunForwardingChain(topo, scheme, /*intern=*/false);
-    auto interned = RunForwardingChain(topo, scheme, /*intern=*/true);
-    for (NodeId n = 0; n < topo.num_nodes(); ++n) {
-      StorageBreakdown a = plain->StorageAt(n);
-      StorageBreakdown b = interned->StorageAt(n);
-      EXPECT_EQ(a.prov, b.prov);
-      EXPECT_EQ(a.rule_exec, b.rule_exec);
-      EXPECT_EQ(a.event_store, b.event_store);
-      EXPECT_EQ(a.tuple_store, b.tuple_store);
-      CheckNode(*interned, n);
-    }
-    EXPECT_EQ(plain->network().total_bytes_sent(),
-              interned->network().total_bytes_sent());
-    EXPECT_EQ(plain->network().total_messages(),
-              interned->network().total_messages());
   }
 }
 

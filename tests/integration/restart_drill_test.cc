@@ -327,7 +327,6 @@ TEST_P(RestartDrillTest, RecoveryDoesNotDoubleCountAccounting) {
   EXPECT_EQ(identity_delta.tuple_bytes_serialized, 0u);
   EXPECT_EQ(identity_delta.vid_cache_hits, 0u);
   EXPECT_EQ(identity_delta.vid_cache_misses, 0u);
-  EXPECT_EQ(identity_delta.tuples_interned, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Schemes, RestartDrillTest,

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 #include "src/ndlog/parser.h"
 
 namespace dpc {
@@ -76,6 +79,92 @@ TEST_F(EvalTest, Errors) {
   EXPECT_FALSE(Eval("f_undefined(A)").ok());     // unknown function
   EXPECT_FALSE(Eval("f_size(A)").ok());          // wrong argument type
   EXPECT_FALSE(Eval("f_min(A)").ok());           // wrong arity
+}
+
+// Operands can come from peers' event bytes, so an integer result outside
+// int64 is an InvalidArgument for every operator — never a hardware trap
+// (INT64_MIN / -1 and INT64_MIN % -1 raise SIGFPE) or undefined behaviour.
+class IntegerBoundaryTest : public ::testing::Test {
+ protected:
+  static constexpr int64_t kMin = INT64_MIN;
+  static constexpr int64_t kMax = INT64_MAX;
+
+  // Evaluates `A <op> B` with A = a, B = b.
+  static Result<Value> Apply(const std::string& op, int64_t a, int64_t b) {
+    auto rules =
+        ParseRules("a(@X) :- e(@X, A, B), Y := A " + op + " B.");
+    EXPECT_TRUE(rules.ok()) << rules.status().ToString();
+    Bindings env{{"A", Value::Int(a)}, {"B", Value::Int(b)}};
+    return EvalExpr(*rules->front().assignments.front().expr, env,
+                    FunctionRegistry{});
+  }
+  static int64_t Ok(const std::string& op, int64_t a, int64_t b) {
+    Result<Value> r = Apply(op, a, b);
+    EXPECT_TRUE(r.ok()) << a << " " << op << " " << b << ": "
+                        << r.status().ToString();
+    return r.ok() ? r->AsInt() : 0;
+  }
+  static bool Rejected(const std::string& op, int64_t a, int64_t b) {
+    Result<Value> r = Apply(op, a, b);
+    return !r.ok() && r.status().code() == StatusCode::kInvalidArgument;
+  }
+};
+
+TEST_F(IntegerBoundaryTest, Addition) {
+  EXPECT_TRUE(Rejected("+", kMax, 1));
+  EXPECT_TRUE(Rejected("+", kMin, -1));
+  EXPECT_TRUE(Rejected("+", kMax, kMax));
+  EXPECT_TRUE(Rejected("+", kMin, kMin));
+  EXPECT_EQ(Ok("+", kMax, kMin), -1);
+  EXPECT_EQ(Ok("+", kMax - 1, 1), kMax);
+  EXPECT_EQ(Ok("+", kMin + 1, -1), kMin);
+}
+
+TEST_F(IntegerBoundaryTest, Subtraction) {
+  EXPECT_TRUE(Rejected("-", kMin, 1));
+  EXPECT_TRUE(Rejected("-", kMax, -1));
+  EXPECT_TRUE(Rejected("-", 0, kMin));
+  EXPECT_EQ(Ok("-", kMin, kMin), 0);
+  EXPECT_EQ(Ok("-", -1, kMax), kMin);
+  EXPECT_EQ(Ok("-", 0, kMax), -kMax);
+}
+
+TEST_F(IntegerBoundaryTest, Multiplication) {
+  EXPECT_TRUE(Rejected("*", kMax, 2));
+  EXPECT_TRUE(Rejected("*", kMin, -1));
+  EXPECT_TRUE(Rejected("*", -1, kMin));
+  EXPECT_TRUE(Rejected("*", kMin, 2));
+  EXPECT_TRUE(Rejected("*", int64_t{1} << 32, int64_t{1} << 31));
+  EXPECT_EQ(Ok("*", kMin, 1), kMin);
+  EXPECT_EQ(Ok("*", kMax, -1), -kMax);
+  EXPECT_EQ(Ok("*", int64_t{1} << 31, int64_t{1} << 31), int64_t{1} << 62);
+}
+
+TEST_F(IntegerBoundaryTest, Division) {
+  EXPECT_TRUE(Rejected("/", kMin, -1));
+  EXPECT_TRUE(Rejected("/", kMin, 0));
+  EXPECT_EQ(Ok("/", kMin, 1), kMin);
+  EXPECT_EQ(Ok("/", kMax, -1), -kMax);
+  EXPECT_EQ(Ok("/", kMin, kMin), 1);
+  EXPECT_EQ(Ok("/", kMin, kMax), -1);
+  EXPECT_EQ(Ok("/", -7, 2), -3);  // truncates toward zero
+}
+
+TEST_F(IntegerBoundaryTest, Modulo) {
+  EXPECT_EQ(Ok("%", kMin, -1), 0);
+  EXPECT_EQ(Ok("%", kMax, -1), 0);
+  EXPECT_TRUE(Rejected("%", kMin, 0));
+  EXPECT_EQ(Ok("%", kMin, kMax), -1);
+  EXPECT_EQ(Ok("%", kMax, kMin), kMax);
+  EXPECT_EQ(Ok("%", -7, 2), -1);  // sign follows the dividend
+}
+
+TEST_F(EvalTest, OverflowingExpressionIsAnError) {
+  Result<Value> q = Eval("(0 - 9223372036854775807 - 1) / (0 - 1)");
+  ASSERT_FALSE(q.ok());
+  EXPECT_EQ(q.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(Eval("(0 - 9223372036854775807 - 1) % (0 - 1)").value(),
+            Value::Int(0));
 }
 
 TEST(MatchAtomTest, BindsVariables) {

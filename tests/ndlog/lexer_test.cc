@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace dpc {
 namespace {
 
@@ -42,6 +44,17 @@ TEST(LexerTest, NumbersAndStrings) {
   EXPECT_EQ(tokens[0].number, 42);
   EXPECT_EQ(tokens[1].kind, TokenKind::kString);
   EXPECT_EQ(tokens[1].text, "hello world");
+}
+
+// Literals are untrusted file input: a magnitude past 2^63 is an error,
+// never a signed overflow.
+TEST(LexerTest, IntegerLiteralRange) {
+  auto max = Tokenize("9223372036854775807").value();
+  EXPECT_EQ(max[0].number, INT64_MAX);
+  auto min_magnitude = Tokenize("9223372036854775808").value();
+  EXPECT_EQ(min_magnitude[0].number, INT64_MIN);  // valid only negated
+  EXPECT_FALSE(Tokenize("9223372036854775809").ok());
+  EXPECT_FALSE(Tokenize("99999999999999999999").ok());
 }
 
 TEST(LexerTest, StringEscapes) {

@@ -1,11 +1,9 @@
-// Differential oracle for the batch evaluator (src/runtime/batch_eval.h):
-// FireRuleBatched(events)[i] must equal FireRulePlanned(events[i]) for
-// every batch member — same firings, same firing order, same joined slow
-// tuples, same status — whatever path the batch takes (naive fallthrough,
-// PlanExecutor, compiled slot executor, grouped first-key probes,
-// duplicate memoization). Exercised over the two example applications and
-// 100 seeded random DELPs, with the small-table fallback both at its
-// default and disabled so all paths are compared on the same inputs.
+// Differential oracle for batched evaluation (src/runtime/batch_eval.h):
+// CompiledRule::FireBatch(events)[i] must equal FireBatch({events[i]})[0]
+// for every batch member — same firings, same firing order, same joined
+// slow tuples, same status — whether the batch groups its events by
+// first-probe key or evaluates them one by one. Exercised over the two
+// example applications and 100 seeded random DELPs, duplicates included.
 #include "src/runtime/batch_eval.h"
 
 #include <gtest/gtest.h>
@@ -38,10 +36,10 @@ std::vector<std::string> Canon(const std::vector<RuleFiring>& firings) {
   return out;
 }
 
-// Evaluates every rule over `events` both ways — one FireRuleBatched call
-// per (rule, whole event list) vs one FireRulePlanned call per (rule,
-// event) — and asserts entry-by-entry identical firing sequences and
-// statuses. Returns total planned firings so callers can assert coverage.
+// Evaluates every rule over `events` both ways — one FireBatch call per
+// (rule, whole event list) vs one batch-of-one call per (rule, event) —
+// and asserts entry-by-entry identical firing sequences and statuses.
+// Returns the total firings so callers can assert coverage.
 size_t CheckOracle(const std::vector<Rule>& rules,
                    const std::vector<RulePlan>& plans, const Database& db,
                    const std::vector<Tuple>& events,
@@ -52,39 +50,23 @@ size_t CheckOracle(const std::vector<Rule>& rules,
   for (const Tuple& ev : events) batch.push_back(&ev);
   for (size_t r = 0; r < rules.size(); ++r) {
     const Rule& rule = rules[r];
-    std::vector<BatchEventFirings> batched =
-        FireRuleBatched(rule, plans[r], batch, db, fns);
+    CompiledRule compiled(rule, plans[r], fns);
+    std::vector<BatchEventFirings> batched = compiled.FireBatch(batch, db);
     EXPECT_EQ(batched.size(), events.size());
     if (batched.size() != events.size()) continue;
     for (size_t i = 0; i < events.size(); ++i) {
-      auto planned = FireRulePlanned(rule, plans[r], events[i], db, fns);
-      EXPECT_EQ(planned.ok(), batched[i].status.ok())
-          << rule.ToString() << "\nevent " << events[i].ToString()
-          << "\nplanned: " << planned.status().ToString()
-          << "\nbatched: " << batched[i].status.ToString();
-      if (!planned.ok() || !batched[i].status.ok()) continue;
-      EXPECT_EQ(Canon(*planned), Canon(FiringsOf(batched, i)))
+      std::vector<BatchEventFirings> single =
+          compiled.FireBatch({&events[i]}, db);
+      EXPECT_EQ(single.size(), 1u);
+      if (single.size() != 1) continue;
+      EXPECT_EQ(single[0].status.ToString(), batched[i].status.ToString())
           << rule.ToString() << "\nevent " << events[i].ToString();
-      total_firings += planned->size();
+      EXPECT_EQ(Canon(single[0].firings), Canon(batched[i].firings))
+          << rule.ToString() << "\nevent " << events[i].ToString();
+      total_firings += single[0].firings.size();
     }
   }
   return total_firings;
-}
-
-// As CheckOracle, run twice: once with the plans as compiled (small-table
-// fallback engaged where the planner allows it) and once with the
-// fallback disabled, so the planned join path and the batch fast path are
-// compared even on small tables.
-size_t CheckOracleBothFallbacks(const std::vector<Rule>& rules,
-                                const std::vector<RulePlan>& plans,
-                                const Database& db,
-                                const std::vector<Tuple>& events,
-                                const FunctionRegistry& fns) {
-  size_t firings = CheckOracle(rules, plans, db, events, fns);
-  std::vector<RulePlan> forced = plans;
-  for (RulePlan& p : forced) p.small_table_fallback_rows = 0;
-  CheckOracle(rules, forced, db, events, fns);
-  return firings;
 }
 
 TEST(BatchEvalOracleTest, ForwardingBatchMatchesPlanned) {
@@ -106,14 +88,13 @@ TEST(BatchEvalOracleTest, ForwardingBatchMatchesPlanned) {
           "packet", 0, {Value::Int(s), Value::Int(d), Value::Int(42)}));
     }
   }
-  // Duplicates on purpose: the memoized entries must resolve to the same
-  // results as fresh evaluation.
+  // Duplicates on purpose: same-key group members share one candidate run.
   for (int rep = 0; rep < 3; ++rep) {
     events.push_back(Tuple::Make(
         "packet", 0, {Value::Int(0), Value::Int(1), Value::Int(42)}));
   }
-  size_t firings = CheckOracleBothFallbacks(program->rules(), plan.rules, db,
-                                            events, FunctionRegistry{});
+  size_t firings = CheckOracle(program->rules(), plan.rules, db, events,
+                               FunctionRegistry{});
   EXPECT_GT(firings, 0u);
 }
 
@@ -140,7 +121,7 @@ TEST(BatchEvalOracleTest, DnsBatchMatchesPlanned) {
   }
 
   // Same-relation batches, as the runtime drains them; each checked
-  // against per-event planned evaluation.
+  // against per-event evaluation.
   for (const char* shape : {"url", "request", "dnsResult"}) {
     std::vector<Tuple> events;
     for (const std::string& url : urls) {
@@ -158,55 +139,14 @@ TEST(BatchEvalOracleTest, DnsBatchMatchesPlanned) {
       }
     }
     events.insert(events.end(), events.begin(), events.begin() + 2);  // dups
-    CheckOracleBothFallbacks(program->rules(), plan.rules, db, events, fns);
+    CheckOracle(program->rules(), plan.rules, db, events, fns);
   }
-}
-
-TEST(BatchEvalTest, MemoizedDuplicatesShareRepresentativeFirings) {
-  auto rules = ParseRules(
-      "r1 h(@L, A, B) :- e(@L, A), s(@L, A, B).");
-  ASSERT_TRUE(rules.ok());
-  ProgramPlan plan = PlanRules(*rules);
-  plan.rules[0].small_table_fallback_rows = 0;  // force the batch fast path
-
-  Database db;
-  for (int a = 0; a < 8; ++a) {
-    db.Insert(Tuple::Make("s", 0, {Value::Int(a), Value::Int(a * 10)}));
-  }
-  std::vector<Tuple> events;
-  for (int i = 0; i < 12; ++i) {
-    events.push_back(Tuple::Make("e", 0, {Value::Int(i % 3)}));
-  }
-  std::vector<const Tuple*> batch;
-  for (const Tuple& ev : events) batch.push_back(&ev);
-  auto out = FireRuleBatched(rules->front(), plan.rules[0], batch, db,
-                             FunctionRegistry{});
-  ASSERT_EQ(out.size(), events.size());
-  size_t duplicates = 0;
-  for (size_t i = 0; i < out.size(); ++i) {
-    EXPECT_TRUE(out[i].status.ok());
-    const std::vector<RuleFiring>& firings = FiringsOf(out, i);
-    ASSERT_EQ(firings.size(), 1u);
-    EXPECT_EQ(firings.front().head,
-              Tuple::Make("h", 0, {Value::Int(i % 3),
-                                   Value::Int((i % 3) * 10)}));
-    if (out[i].same_as >= 0) {
-      ++duplicates;
-      const BatchEventFirings& rep = out[static_cast<size_t>(out[i].same_as)];
-      EXPECT_LT(out[i].same_as, static_cast<int32_t>(i));
-      EXPECT_EQ(rep.same_as, -1);  // one hop only: reps are never duplicates
-      EXPECT_TRUE(rep.shared);
-      EXPECT_TRUE(out[i].firings.empty());
-    }
-  }
-  // 3 distinct events, 12 members: 9 must have been memoized.
-  EXPECT_EQ(duplicates, 9u);
 }
 
 // Random DELP generator (as planned_eval_oracle_test's): rules mix bound
 // joins, scans, cross products, assignment chains, and foldable
-// constraints — covering plans the slot executor compiles and plans it
-// must refuse (falling back to PlanExecutor inside the batch).
+// constraints — plans that group by first-probe key and plans that
+// cannot (scans, keys bound by assignments).
 std::string GenerateDelp(Rng& rng, int* num_rules_out) {
   int num_rules = 1 + static_cast<int>(rng.NextBelow(3));
   std::string src;
@@ -315,8 +255,7 @@ TEST_P(BatchEvalRandomOracleTest, RandomDelpBatchMatchesPlanned) {
       }
     }
     events.insert(events.end(), events.begin(), events.begin() + 6);
-    CheckOracleBothFallbacks(*rules, plan.rules, db, events,
-                             FunctionRegistry{});
+    CheckOracle(*rules, plan.rules, db, events, FunctionRegistry{});
   }
 }
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "src/apps/dns.h"
 #include "src/apps/forwarding.h"
 #include "src/apps/testbed.h"
@@ -182,6 +184,63 @@ TEST(SystemDnsTest, ResolvesThroughDelegationChain) {
                 0x0A000000 + static_cast<int64_t>(k));
     }
   }
+}
+
+// Integer operands are untrusted peer bytes: an event whose arithmetic
+// overflows fails its rule (logged) instead of raising SIGFPE, the
+// message is still accepted, and the node keeps running.
+TEST(SystemArithmeticTest, OverflowingEventFailsItsRuleAndEmitsNothing) {
+  auto program = Program::Parse("r1 out(@L, Q, R) :- ev(@L, A, B), "
+                                "Q := A / B, R := A % B.\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  Topology topo;
+  topo.AddNodes(1);
+  topo.ComputeRoutes();
+  EventQueue queue;
+  Network network(&topo, &queue);
+  System sys(&*program, &topo, &network, &queue, FunctionRegistry{},
+             /*recorder=*/nullptr);
+  auto deliver = [&](int64_t a, int64_t b) {
+    ByteWriter w;
+    Tuple::Make("ev", 0, {Value::Int(a), Value::Int(b)}).Serialize(w);
+    Message msg;
+    msg.kind = MessageKind::kEvent;
+    msg.src = 0;
+    msg.dst = 0;
+    msg.payload = w.Take();
+    return sys.HandleMessage(msg);
+  };
+
+  EXPECT_TRUE(deliver(INT64_MIN, -1).ok());
+  EXPECT_EQ(sys.stats().rule_firings, 0u);
+  EXPECT_TRUE(sys.AllOutputs().empty());
+
+  // The node still derives from well-formed values afterwards.
+  EXPECT_TRUE(deliver(INT64_MIN, 2).ok());
+  ASSERT_EQ(sys.AllOutputs().size(), 1u);
+  EXPECT_EQ(sys.AllOutputs()[0].tuple,
+            Tuple::Make("out", 0, {Value::Int(INT64_MIN / 2), Value::Int(0)}));
+}
+
+// Constant folding at System construction (the planner) and in the
+// analyzer must survive a constant expression that overflows.
+TEST(SystemArithmeticTest, OverflowingConstantExpressionLoads) {
+  auto program = Program::Parse(
+      "r1 out(@L, Q) :- ev(@L, A), "
+      "Q := (0 - 9223372036854775807 - 1) / (0 - 1).\n");
+  ASSERT_TRUE(program.ok()) << program.status().ToString();
+  Topology topo;
+  topo.AddNodes(1);
+  topo.ComputeRoutes();
+  EventQueue queue;
+  Network network(&topo, &queue);
+  System sys(&*program, &topo, &network, &queue, FunctionRegistry{},
+             /*recorder=*/nullptr);
+  ASSERT_TRUE(sys.ScheduleInject(Tuple::Make("ev", 0, {Value::Int(1)}), 0.1)
+                  .ok());
+  sys.Run();
+  EXPECT_EQ(sys.stats().events_injected, 1u);
+  EXPECT_EQ(sys.stats().rule_firings, 0u);
 }
 
 }  // namespace
