@@ -4,8 +4,11 @@
 // the buffer — what the runtime did before memoization), plus a
 // fig09-style end-to-end forwarding run timed per scheme with the
 // identity-work counters (SHA-1 invocations, bytes serialized, cache hit
-// rates) it generated. Prints a JSON report; the checked-in before/after
-// snapshot lives at BENCH_hotpath.json.
+// rates) it generated. The report names the SHA-1 compression block this
+// CPU selected ("sha1_path": "sha-ext" or "portable") and times a digest
+// on every block the CPU can run, so numbers from hosts with and without
+// the SHA extensions can be told apart. Prints a JSON report; the
+// checked-in snapshot lives at BENCH_hotpath.json.
 //
 // Scale knobs: DPC_PAIRS, DPC_RATE, DPC_DURATION; sharded-runtime case:
 // DPC_SHARDS, DPC_SHARD_PAIRS, DPC_SHARD_RATE, DPC_SHARD_DURATION.
@@ -22,6 +25,7 @@
 #include "src/util/logging.h"
 #include "src/util/perf.h"
 #include "src/util/rng.h"
+#include "src/util/sha1.h"
 
 namespace dpc {
 namespace {
@@ -134,6 +138,47 @@ double BenchSerializeMbps(const std::vector<Tuple>& tuples, size_t reads) {
   }
   auto end = std::chrono::steady_clock::now();
   return static_cast<double>(bytes) / Seconds(start, end) / 1e6;
+}
+
+// --- SHA-1 compression blocks -----------------------------------------------
+
+struct Sha1BlockCase {
+  const char* name = "";
+  sha1_internal::BlockFn block = nullptr;
+  double ns_per_digest = 0;
+};
+
+// One digest per serialized tuple, `reads` times over, on every block this
+// CPU can run (the test seam bypasses the CPUID choice).
+std::vector<Sha1BlockCase> BenchSha1Blocks(const std::vector<Tuple>& tuples,
+                                           size_t reads) {
+  std::vector<std::vector<uint8_t>> buffers;
+  for (const Tuple& t : tuples) {
+    ByteWriter w;
+    t.Serialize(w);
+    buffers.push_back(w.Take());
+  }
+  std::vector<Sha1BlockCase> out;
+  out.push_back({"portable", &sha1_internal::PortableBlock});
+  if (sha1_internal::CpuHasShaExt()) {
+    out.push_back({"sha-ext", sha1_internal::ShaExtBlock()});
+  }
+  uint64_t sink = 0;
+  for (Sha1BlockCase& c : out) {
+    auto start = std::chrono::steady_clock::now();
+    for (size_t r = 0; r < reads; ++r) {
+      for (const std::vector<uint8_t>& b : buffers) {
+        Sha1 hasher(c.block);
+        hasher.Update(b.data(), b.size());
+        sink += hasher.Finish().bytes[0];
+      }
+    }
+    auto end = std::chrono::steady_clock::now();
+    c.ns_per_digest = Seconds(start, end) * 1e9 /
+                      static_cast<double>(reads * buffers.size());
+  }
+  DPC_CHECK(sink != 0);
+  return out;
 }
 
 // --- event-queue dispatch: tracing off vs on --------------------------------
@@ -284,6 +329,7 @@ int Main() {
   IdentityCase identity = BenchRepeatedIdentity(tuples, 2000);
   IdentityCase hash = BenchRepeatedHash(tuples, 2000);
   double mbps = BenchSerializeMbps(tuples, 2000);
+  std::vector<Sha1BlockCase> blocks = BenchSha1Blocks(tuples, 2000);
   DispatchCase dispatch =
       BenchQueueDispatch(apps::EnvSize("DPC_DISPATCH_EVENTS", 200000));
 
@@ -299,6 +345,13 @@ int Main() {
       apps::EnvDouble("DPC_SHARD_DURATION", 5));
 
   std::printf("{\n  \"bench\": \"hotpath_bench\",\n");
+  std::printf("  \"sha1_path\": \"%s\",\n", Sha1::BlockName());
+  std::printf("  \"sha1_ns_per_digest\": {");
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    std::printf("%s\"%s\": %.1f", i > 0 ? ", " : "", blocks[i].name,
+                blocks[i].ns_per_digest);
+  }
+  std::printf("},\n");
   std::printf("  \"repeated_identity\": {\"uncached_ns_per_read\": %.1f, "
               "\"cached_ns_per_read\": %.1f, \"speedup\": %.1f},\n",
               identity.uncached_ns_per_read, identity.cached_ns_per_read,

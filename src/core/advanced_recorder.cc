@@ -15,6 +15,18 @@ AdvancedRecorder::AdvancedRecorder(const Program* program,
   DPC_CHECK(program_ != nullptr);
   DPC_CHECK(keys_.event_relation() == program_->input_event_relation());
   nodes_.resize(num_nodes);
+  MetricsRegistry& reg = GlobalMetrics();
+  metrics_.new_classes = &reg.GetCounter("recorder.advanced.new_classes");
+  metrics_.shared_classes =
+      &reg.GetCounter("recorder.advanced.shared_classes");
+  metrics_.maintenance_skipped =
+      &reg.GetCounter("recorder.advanced.maintenance_skipped");
+  metrics_.rule_exec_rows =
+      &reg.GetCounter("recorder.advanced.rule_exec_rows");
+  metrics_.prov_rows = &reg.GetCounter("recorder.advanced.prov_rows");
+  metrics_.pending_parked =
+      &reg.GetCounter("recorder.advanced.pending_parked");
+  metrics_.cache_resets = &reg.GetCounter("recorder.advanced.cache_resets");
 }
 
 Rid AdvancedRecorder::MakeRid(const std::string& rule_id,
@@ -39,10 +51,8 @@ ProvMeta AdvancedRecorder::OnInject(NodeId node, const TupleRef& event) {
   meta.maintain = first_in_class;
   // The compression ratio in one pair of counters: shared-class events
   // skip maintenance entirely.
-  GlobalMetrics()
-      .GetCounter(first_in_class ? "recorder.advanced.new_classes"
-                                 : "recorder.advanced.shared_classes")
-      .IncrementAt(node);
+  (first_in_class ? metrics_.new_classes : metrics_.shared_classes)
+      ->IncrementAt(node);
   // The event tuple itself is the per-tree delta (§5.1): always stored.
   state.events.Put(event);
   return meta;
@@ -69,9 +79,7 @@ ProvMeta AdvancedRecorder::OnRuleFired(NodeId node, const Rule& rule,
                                        const TupleRef& /*head*/) {
   if (!meta.maintain) {
     // Stage 2, existFlag = true: execute without recording anything.
-    GlobalMetrics()
-        .GetCounter("recorder.advanced.maintenance_skipped")
-        .IncrementAt(node);
+    metrics_.maintenance_skipped->IncrementAt(node);
     return meta;
   }
   NodeState& state = nodes_[node];
@@ -83,9 +91,7 @@ ProvMeta AdvancedRecorder::OnRuleFired(NodeId node, const Rule& rule,
   }
   Rid rid = MakeRid(rule.id, slow_vids, state.epoch);
   InsertRuleExecRow(state, node, rid, rule.id, slow_vids, meta.prev);
-  GlobalMetrics()
-      .GetCounter("recorder.advanced.rule_exec_rows")
-      .IncrementAt(node);
+  metrics_.rule_exec_rows->IncrementAt(node);
 
   ProvMeta out = meta;
   out.prev = NodeRid{node, rid};
@@ -105,19 +111,17 @@ void AdvancedRecorder::OnOutput(NodeId node, const TupleRef& output,
       return;
     }
     state.hmap[meta.eqkey] = meta.prev;
-    Counter& prov_rows =
-        GlobalMetrics().GetCounter("recorder.advanced.prov_rows");
     if (of_interest) {
       state.prov.Insert(
           ProvEntry{node, output->Vid(), meta.prev, meta.evid});
-      prov_rows.IncrementAt(node);
+      metrics_.prov_rows->IncrementAt(node);
     }
     // Flush outputs of this class that overtook the shared tree.
     auto it = state.pending.find(meta.eqkey);
     if (it != state.pending.end()) {
       for (const PendingOutput& p : it->second) {
         state.prov.Insert(ProvEntry{node, p.vid, meta.prev, p.evid});
-        prov_rows.IncrementAt(node);
+        metrics_.prov_rows->IncrementAt(node);
       }
       state.pending.erase(it);
     }
@@ -129,16 +133,12 @@ void AdvancedRecorder::OnOutput(NodeId node, const TupleRef& output,
   if (ref != state.hmap.end()) {
     state.prov.Insert(
         ProvEntry{node, output->Vid(), ref->second, meta.evid});
-    GlobalMetrics()
-        .GetCounter("recorder.advanced.prov_rows")
-        .IncrementAt(node);
+    metrics_.prov_rows->IncrementAt(node);
   } else {
     // The shared tree's own output has not arrived yet: park the row.
     state.pending[meta.eqkey].push_back(
         PendingOutput{output->Vid(), meta.evid});
-    GlobalMetrics()
-        .GetCounter("recorder.advanced.pending_parked")
-        .IncrementAt(node);
+    metrics_.pending_parked->IncrementAt(node);
   }
 }
 
@@ -156,7 +156,7 @@ void AdvancedRecorder::OnControlSignal(NodeId node) {
   // hmap is retained: existing associations describe past history; the next
   // first-in-class execution overwrites the reference with the new tree.
   // The epoch bump salts post-reset RIDs (see MakeRid).
-  GlobalMetrics().GetCounter("recorder.advanced.cache_resets").IncrementAt(node);
+  metrics_.cache_resets->IncrementAt(node);
   nodes_[node].htequi.clear();
   ++nodes_[node].epoch;
 }

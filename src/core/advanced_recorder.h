@@ -28,6 +28,8 @@
 
 namespace dpc {
 
+class Counter;  // src/obs/metrics.h
+
 struct AdvancedOptions {
   // §5.4: split ruleExec into ruleExecNode (concrete nodes, deduplicated
   // across equivalence classes) and ruleExecLink (per-tree edges).
@@ -133,6 +135,16 @@ class AdvancedRecorder : public ProvenanceRecorder {
   EquivalenceKeys keys_;
   AdvancedOptions options_;
   std::vector<NodeState> nodes_;
+  // "recorder.advanced.*" counters, resolved once at construction.
+  struct {
+    Counter* new_classes;
+    Counter* shared_classes;
+    Counter* maintenance_skipped;
+    Counter* rule_exec_rows;
+    Counter* prov_rows;
+    Counter* pending_parked;
+    Counter* cache_resets;
+  } metrics_;
 };
 
 }  // namespace dpc

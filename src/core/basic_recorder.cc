@@ -6,7 +6,11 @@
 namespace dpc {
 
 BasicRecorder::BasicRecorder(const Program* program, int num_nodes)
-    : program_(program) {
+    : program_(program),
+      rule_exec_rows_counter_(
+          &GlobalMetrics().GetCounter("recorder.basic.rule_exec_rows")),
+      prov_rows_counter_(
+          &GlobalMetrics().GetCounter("recorder.basic.prov_rows")) {
   DPC_CHECK(program_ != nullptr);
   nodes_.resize(num_nodes);
 }
@@ -59,7 +63,7 @@ ProvMeta BasicRecorder::OnRuleFired(NodeId node, const Rule& rule,
 
   state.rule_exec.Insert(
       RuleExecEntry{node, rid, rule.id, column_vids, meta.prev});
-  GlobalMetrics().GetCounter("recorder.basic.rule_exec_rows").IncrementAt(node);
+  rule_exec_rows_counter_->IncrementAt(node);
 
   ProvMeta out = meta;
   out.prev = NodeRid{node, rid};
@@ -76,7 +80,7 @@ void BasicRecorder::OnOutput(NodeId node, const TupleRef& output,
   }
   nodes_[node].prov.Insert(
       ProvEntry{node, output->Vid(), meta.prev, Vid{}});
-  GlobalMetrics().GetCounter("recorder.basic.prov_rows").IncrementAt(node);
+  prov_rows_counter_->IncrementAt(node);
 }
 
 void BasicRecorder::SerializeMeta(const ProvMeta& meta, ByteWriter& w) const {

@@ -22,6 +22,8 @@
 
 namespace dpc {
 
+class Counter;  // src/obs/metrics.h
+
 class BasicRecorder : public ProvenanceRecorder {
  public:
   BasicRecorder(const Program* program, int num_nodes);
@@ -71,6 +73,9 @@ class BasicRecorder : public ProvenanceRecorder {
 
   const Program* program_;
   std::vector<NodeState> nodes_;
+  // "recorder.basic.*" counters, resolved once at construction.
+  Counter* rule_exec_rows_counter_;
+  Counter* prov_rows_counter_;
 };
 
 }  // namespace dpc

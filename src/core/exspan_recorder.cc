@@ -5,7 +5,11 @@
 
 namespace dpc {
 
-ExspanRecorder::ExspanRecorder(int num_nodes) { nodes_.resize(num_nodes); }
+ExspanRecorder::ExspanRecorder(int num_nodes)
+    : rule_exec_rows_counter_(
+          &GlobalMetrics().GetCounter("recorder.exspan.rule_exec_rows")) {
+  nodes_.resize(num_nodes);
+}
 
 Rid ExspanRecorder::MakeRid(const std::string& rule_id, NodeId loc,
                             const std::vector<Vid>& vids) {
@@ -49,9 +53,7 @@ ProvMeta ExspanRecorder::OnRuleFired(NodeId node, const Rule& rule,
   Rid rid = MakeRid(rule.id, node, vids);
   state.rule_exec.Insert(RuleExecEntry{node, rid, rule.id, vids,
                                        NodeRid::Null()});
-  GlobalMetrics()
-      .GetCounter("recorder.exspan.rule_exec_rows")
-      .IncrementAt(node);
+  rule_exec_rows_counter_->IncrementAt(node);
   // The event that triggered this rule is materialized here (it is either
   // the locally injected input or an intermediate tuple shipped to us).
   state.tuples.Put(event);

@@ -15,6 +15,8 @@
 
 namespace dpc {
 
+class Counter;  // src/obs/metrics.h
+
 class ExspanRecorder : public ProvenanceRecorder {
  public:
   explicit ExspanRecorder(int num_nodes);
@@ -72,6 +74,8 @@ class ExspanRecorder : public ProvenanceRecorder {
     TupleStore events;  // materialized input events
   };
   std::vector<NodeState> nodes_;
+  // "recorder.exspan.rule_exec_rows", resolved once at construction.
+  Counter* rule_exec_rows_counter_;
 };
 
 }  // namespace dpc

@@ -6,14 +6,47 @@ namespace dpc {
 
 namespace {
 
-// Content key for row-level deduplication. `size_hint` pre-sizes the
-// scratch buffer (entry sizes are known arithmetically).
-template <typename SerializeFn>
-Sha1Digest ContentKey(size_t size_hint, SerializeFn&& serialize) {
-  ByteWriter w;
-  w.Reserve(size_hint);
-  serialize(w);
-  return Sha1::Hash(w.bytes().data(), w.size());
+// Bucket keys for row deduplication: a multiply-xorshift mix of the row's
+// node ids and digest prefixes. Digests are SHA-1 output, so their
+// prefixes are already uniform; the mix only has to combine them.
+uint64_t MixBits(uint64_t h, uint64_t v) {
+  h = (h ^ v) * 0x9E3779B97F4A7C15ULL;
+  return h ^ (h >> 29);
+}
+uint64_t Mix(uint64_t h, NodeId n) {
+  return MixBits(h, static_cast<uint32_t>(n));
+}
+uint64_t Mix(uint64_t h, const Sha1Digest& d) {
+  return MixBits(h, d.Prefix64());
+}
+uint64_t Mix(uint64_t h, const NodeRid& r) {
+  return Mix(Mix(h, r.loc), r.rid);
+}
+
+uint64_t BucketKey(const ProvEntry& e) {
+  return Mix(Mix(Mix(Mix(0, e.loc), e.vid), e.rule), e.evid);
+}
+// VIDS and the rule id are left out: the RID already hashes them in every
+// scheme, and the full comparison below covers them anyway.
+uint64_t BucketKey(const RuleExecEntry& e) {
+  return Mix(Mix(Mix(0, e.rloc), e.rid), e.next);
+}
+uint64_t BucketKey(const RuleExecLinkEntry& e) {
+  return Mix(Mix(Mix(0, e.rloc), e.rid), e.next);
+}
+
+// Exact deduplication: true, with the row's index recorded in `buckets`,
+// unless `rows` already holds a row equal to `row` in every column.
+template <typename Row>
+bool AdmitRow(std::unordered_multimap<uint64_t, size_t>& buckets,
+              const std::vector<Row>& rows, const Row& row) {
+  const uint64_t key = BucketKey(row);
+  auto [lo, hi] = buckets.equal_range(key);
+  for (auto it = lo; it != hi; ++it) {
+    if (rows[it->second] == row) return false;
+  }
+  buckets.emplace(key, rows.size());
+  return true;
 }
 
 void PutNodeId(ByteWriter& w, NodeId n) {
@@ -151,10 +184,7 @@ Result<RuleExecLinkEntry> RuleExecLinkEntry::Deserialize(ByteReader& r) {
 // --- ProvTable --------------------------------------------------------------
 
 bool ProvTable::Insert(const ProvEntry& e) {
-  Sha1Digest key =
-      ContentKey(e.SerializedSize(/*with_evid=*/true),
-                 [&](ByteWriter& w) { e.Serialize(w, /*with_evid=*/true); });
-  if (!content_keys_.insert(key).second) return false;
+  if (!AdmitRow(dedup_, rows_, e)) return false;
   by_vid_.emplace(e.vid, rows_.size());
   bytes_ += e.SerializedSize(with_evid_);
   rows_.push_back(e);
@@ -171,10 +201,7 @@ std::vector<const ProvEntry*> ProvTable::FindByVid(const Vid& vid) const {
 // --- RuleExecTable ----------------------------------------------------------
 
 bool RuleExecTable::Insert(const RuleExecEntry& e) {
-  Sha1Digest key =
-      ContentKey(e.SerializedSize(/*with_next=*/true),
-                 [&](ByteWriter& w) { e.Serialize(w, /*with_next=*/true); });
-  if (!content_keys_.insert(key).second) return false;
+  if (!AdmitRow(dedup_, rows_, e)) return false;
   by_rid_.emplace(e.rid, rows_.size());
   bytes_ += e.SerializedSize(with_next_);
   rows_.push_back(e);
@@ -207,9 +234,7 @@ const RuleExecNodeEntry* RuleExecNodeTable::FindByRid(const Rid& rid) const {
 // --- RuleExecLinkTable ------------------------------------------------------
 
 bool RuleExecLinkTable::Insert(const RuleExecLinkEntry& e) {
-  Sha1Digest key = ContentKey(e.SerializedSize(),
-                              [&](ByteWriter& w) { e.Serialize(w); });
-  if (!content_keys_.insert(key).second) return false;
+  if (!AdmitRow(dedup_, rows_, e)) return false;
   by_rid_.emplace(e.rid, rows_.size());
   bytes_ += e.SerializedSize();
   rows_.push_back(e);

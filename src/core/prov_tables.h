@@ -9,12 +9,22 @@
 //
 // Serialized sizes of these tables are exactly what the paper's storage
 // figures measure.
+//
+// Deduplication: ProvTable, RuleExecTable and RuleExecLinkTable drop a row
+// that equals, in every column (operator==, including EVID and next
+// columns the table's schema does not store), a row already present. Row
+// indices are bucketed by a 64-bit mix of the row's node ids and the
+// prefixes of its digest columns (already uniform SHA-1 output), and a
+// candidate is compared in full against the rows in its bucket, so no row
+// is hashed to be deduplicated. The buckets hold indices into the row
+// vector, never pointers, so a table may be moved. RuleExecNodeTable is
+// keyed by RID alone.
 #ifndef DPC_CORE_PROV_TABLES_H_
 #define DPC_CORE_PROV_TABLES_H_
 
 #include <string>
+#include <cstdint>
 #include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "src/db/tuple.h"
@@ -111,12 +121,12 @@ struct RuleExecLinkEntry {
 
 // --- per-node tables -------------------------------------------------------
 
-// prov table: content-deduplicated rows indexed by VID.
+// prov table: deduplicated rows indexed by VID.
 class ProvTable {
  public:
   explicit ProvTable(bool with_evid) : with_evid_(with_evid) {}
 
-  // Inserts a row; duplicate rows (full content) are ignored.
+  // Inserts a row; a row equal to a present one is ignored (false).
   bool Insert(const ProvEntry& e);
 
   // All rows whose VID equals `vid`.
@@ -132,11 +142,11 @@ class ProvTable {
   bool with_evid_;
   std::vector<ProvEntry> rows_;
   std::unordered_multimap<Vid, size_t, Sha1DigestHash> by_vid_;
-  std::unordered_set<Sha1Digest, Sha1DigestHash> content_keys_;
+  std::unordered_multimap<uint64_t, size_t> dedup_;  // mix -> row index
   size_t bytes_ = 0;
 };
 
-// ruleExec table: content-deduplicated rows indexed by RID. Several rows may
+// ruleExec table: deduplicated rows indexed by RID. Several rows may
 // share an RID (Advanced: one per distinct next pointer); queries branch
 // over all of them and filter by EVID at the leaves (Theorem 5).
 class RuleExecTable {
@@ -155,7 +165,7 @@ class RuleExecTable {
   bool with_next_;
   std::vector<RuleExecEntry> rows_;
   std::unordered_multimap<Rid, size_t, Sha1DigestHash> by_rid_;
-  std::unordered_set<Sha1Digest, Sha1DigestHash> content_keys_;
+  std::unordered_multimap<uint64_t, size_t> dedup_;  // mix -> row index
   size_t bytes_ = 0;
 };
 
@@ -188,7 +198,7 @@ class RuleExecLinkTable {
  private:
   std::vector<RuleExecLinkEntry> rows_;
   std::unordered_multimap<Rid, size_t, Sha1DigestHash> by_rid_;
-  std::unordered_set<Sha1Digest, Sha1DigestHash> content_keys_;
+  std::unordered_multimap<uint64_t, size_t> dedup_;  // mix -> row index
   size_t bytes_ = 0;
 };
 

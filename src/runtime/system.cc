@@ -60,14 +60,18 @@ System::System(const Program* program, const Topology* topology,
   for (size_t i = 0; i < program_->rules().size(); ++i) {
     const Rule& r = program_->rules()[i];
     compiled_.emplace_back(r, plan_.rules[i], functions_);
-    batch_relation_ids_.emplace(r.EventAtom().relation, 0);
+    triggers_[r.EventAtom().relation].rules.push_back(i);
   }
   // Every trigger relation batches: DELP condition 3 (E104, enforced on
   // every Program) keeps head relations out of condition atoms, so no
   // emission can change what a later evaluation reads. Ordinals follow
   // relation-name order.
   uint64_t ordinal = 0;
-  for (auto& [relation, id] : batch_relation_ids_) id = ++ordinal;
+  for (auto& [relation, trigger] : triggers_) trigger.ordinal = ++ordinal;
+  head_triggers_.reserve(program_->rules().size());
+  for (const Rule& r : program_->rules()) {
+    head_triggers_.push_back(TriggerOf(r.head.relation));
+  }
   tracer_ = &Trace();
   channel_->SetDeliveryHandler([this](const Message& msg) {
     Status st = HandleMessage(msg);
@@ -162,11 +166,13 @@ Status System::ScheduleInject(const Tuple& event, SimTime when) {
   if (replay_log_ != nullptr) {
     replay_log_->RecordInject(when, event);
   }
-  uint64_t tag = BatchTagFor(node, event.relation());
-  auto inject = [this, ev = MakeTupleRef(event), node, tag]() {
+  // The input event relation is r1's event relation, so it has a trigger.
+  const Trigger* trigger = TriggerOf(event.relation());
+  uint64_t tag = BatchTagFor(node, trigger);
+  auto inject = [this, ev = MakeTupleRef(event), node, trigger, tag]() {
     stats_.events_injected.fetch_add(1, std::memory_order_relaxed);
     metrics_.events_injected->IncrementAt(node);
-    Dispatch(node, ev, ProvMeta{}, /*is_arrival=*/false, tag);
+    Dispatch(node, *trigger, ev, ProvMeta{}, /*is_arrival=*/false, tag);
   };
   if (engine_ != nullptr) {
     engine_->ScheduleAtNode(node, when, std::move(inject), tag);
@@ -176,14 +182,17 @@ Status System::ScheduleInject(const Tuple& event, SimTime when) {
   return Status::OK();
 }
 
-uint64_t System::BatchTagFor(NodeId node, const std::string& relation) const {
-  if (!batch_eval_) return 0;
-  auto it = batch_relation_ids_.find(relation);
-  if (it == batch_relation_ids_.end()) return 0;
+uint64_t System::BatchTagFor(NodeId node, const Trigger* trigger) const {
+  if (!batch_eval_ || trigger == nullptr) return 0;
   // (node + 1) keeps the tag nonzero for node 0; the ordinal separates
   // relations landing at the same node at the same instant.
   return (static_cast<uint64_t>(static_cast<uint32_t>(node + 1)) << 32) |
-         it->second;
+         trigger->ordinal;
+}
+
+const System::Trigger* System::TriggerOf(const std::string& relation) const {
+  auto it = triggers_.find(relation);
+  return it == triggers_.end() ? nullptr : &it->second;
 }
 
 ProvMeta System::RunEventHook(NodeId node, const TupleRef& tuple,
@@ -207,7 +216,8 @@ ProvMeta System::RunEventHook(NodeId node, const TupleRef& tuple,
   return recorder_->OnInject(node, tuple);
 }
 
-void System::Dispatch(NodeId node, const TupleRef& tuple, const ProvMeta& meta,
+void System::Dispatch(NodeId node, const Trigger& trigger,
+                      const TupleRef& tuple, const ProvMeta& meta,
                       bool is_arrival, uint64_t tag) {
   if (tls_collector_owner_ == this) {
     // A batch drain is collecting on this thread: defer the event.
@@ -231,15 +241,15 @@ void System::Dispatch(NodeId node, const TupleRef& tuple, const ProvMeta& meta,
     tls_collector_ = nullptr;
     tls_collector_owner_ = nullptr;
   }
-  ProcessBatch(node, batch);
+  ProcessBatch(node, trigger, batch);
 }
 
-void System::ProcessBatch(NodeId node, std::vector<PendingEvent>& batch) {
+void System::ProcessBatch(NodeId node, const Trigger& trigger,
+                          std::vector<PendingEvent>& batch) {
   // Batch metrics count drained batches only (two or more events).
   const bool drained = batch.size() > 1;
   if (drained) metrics_.batch_size->Observe(static_cast<double>(batch.size()));
-  std::vector<const Rule*> rules =
-      program_->RulesTriggeredBy(batch.front().tuple->relation());
+  const std::vector<size_t>& rules = trigger.rules;
   std::vector<const Tuple*> events;
   events.reserve(batch.size());
   for (const PendingEvent& pe : batch) events.push_back(pe.tuple.get());
@@ -251,10 +261,7 @@ void System::ProcessBatch(NodeId node, std::vector<PendingEvent>& batch) {
   bool tracing = tracer_->enabled();
   std::vector<std::vector<BatchEventFirings>> results(rules.size());
   for (size_t ri = 0; ri < rules.size(); ++ri) {
-    const Rule* rule = rules[ri];
-    // RulesTriggeredBy returns pointers into program_->rules(), so the
-    // offset recovers the rule's compiled form.
-    size_t rule_index = static_cast<size_t>(rule - program_->rules().data());
+    const size_t rule_index = rules[ri];
     auto eval_start = tracing ? WallClock::now() : WallClock::time_point{};
     results[ri] = compiled_[rule_index].FireBatch(events, dbs_[node]);
     if (!drained && !tracing) continue;
@@ -271,7 +278,8 @@ void System::ProcessBatch(NodeId node, std::vector<PendingEvent>& batch) {
     args += ", \"firings\": " + std::to_string(firings) +
             ", \"wall_us\": " + std::to_string(WallMicrosSince(eval_start));
     tracer_->CompleteAt(node, drained ? TraceCat::kBatch : TraceCat::kRule,
-                        (drained ? "batch:" : "fire:") + rule->id,
+                        (drained ? "batch:" : "fire:") +
+                            program_->rules()[rule_index].id,
                         NowFor(node), std::move(args));
   }
 
@@ -284,19 +292,20 @@ void System::ProcessBatch(NodeId node, std::vector<PendingEvent>& batch) {
     for (size_t ri = 0; ri < rules.size(); ++ri) {
       BatchEventFirings& r = results[ri][e];
       if (!r.status.ok()) {
-        DPC_LOG(Error) << "rule " << rules[ri]->id
+        DPC_LOG(Error) << "rule " << program_->rules()[rules[ri]].id
                        << " failed: " << r.status.ToString();
         continue;
       }
       for (RuleFiring& f : r.firings) {
-        EmitFiring(node, *rules[ri], pe.tuple, meta, f);
+        EmitFiring(node, rules[ri], pe.tuple, meta, f);
       }
     }
   }
 }
 
-void System::EmitFiring(NodeId node, const Rule& rule, const TupleRef& tuple,
+void System::EmitFiring(NodeId node, size_t rule_index, const TupleRef& tuple,
                         const ProvMeta& meta, RuleFiring& f) {
+  const Rule& rule = program_->rules()[rule_index];
   stats_.rule_firings.fetch_add(1, std::memory_order_relaxed);
   metrics_.rule_firings->IncrementAt(node);
   // One allocation carries the head through the recorder, the local
@@ -330,16 +339,15 @@ void System::EmitFiring(NodeId node, const Rule& rule, const TupleRef& tuple,
                                          f.slow_tuples, head);
     }
   }
-  NodeId head_loc = head->Location();
-  bool head_is_event = !program_->RulesTriggeredBy(head->relation()).empty();
-  if (head_is_event) {
+  const Trigger* head_trigger = head_triggers_[rule_index];
+  if (head_trigger != nullptr) {
     // The pipeline continues: ship (or locally deliver) the new event.
-    SendEvent(node, head, head_meta);
-  } else if (head_loc == node) {
+    SendEvent(node, head, head_meta, head_trigger);
+  } else if (head->Location() == node) {
     EmitOutput(node, head, head_meta);
   } else {
     // Terminal output materialized remotely (e.g. DNS r4's reply).
-    SendEvent(node, head, head_meta);
+    SendEvent(node, head, head_meta, nullptr);
   }
 }
 
@@ -373,7 +381,7 @@ std::vector<uint8_t> System::EncodeEventPayload(const Tuple& tuple,
 }
 
 void System::SendEvent(NodeId from, const TupleRef& tuple,
-                       const ProvMeta& meta) {
+                       const ProvMeta& meta, const Trigger* trigger) {
   Message msg;
   msg.kind = MessageKind::kEvent;
   msg.src = from;
@@ -382,7 +390,7 @@ void System::SendEvent(NodeId from, const TupleRef& tuple,
   // Tag the delivery so same-instant arrivals of a batchable trigger
   // relation drain into one batch at the destination (docs/perf.md). The
   // network attaches the tag to the final-hop delivery entry only.
-  msg.batch_tag = BatchTagFor(msg.dst, tuple->relation());
+  msg.batch_tag = BatchTagFor(msg.dst, trigger);
   channel_->Send(std::move(msg));
 }
 
@@ -425,8 +433,9 @@ Status System::HandleMessage(const Message& msg) {
       }
       NodeId node = msg.dst;
       TupleRef ev = MakeTupleRef(std::move(tuple).value());
-      if (!program_->RulesTriggeredBy(ev->relation()).empty()) {
-        Dispatch(node, ev, meta, /*is_arrival=*/true, msg.batch_tag);
+      if (const Trigger* trigger = TriggerOf(ev->relation())) {
+        Dispatch(node, *trigger, ev, meta, /*is_arrival=*/true,
+                 msg.batch_tag);
       } else {
         EmitOutput(node, ev, meta);
       }

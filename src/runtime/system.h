@@ -142,6 +142,13 @@ class System {
   EventQueue& queue() { return *queue_; }
 
  private:
+  // What a dispatch of one trigger relation runs, resolved once at
+  // construction.
+  struct Trigger {
+    uint64_t ordinal = 0;       // batch tag ordinal (>= 1)
+    std::vector<size_t> rules;  // indices into compiled_, program order
+  };
+
   // One same-instant batch member awaiting deferred processing: the event
   // plus everything Phase B needs to replay its hooks in original order.
   struct PendingEvent {
@@ -150,30 +157,36 @@ class System {
     bool is_arrival;  // false: injection (OnInject produces the meta)
   };
 
-  // Shared entry for injected and delivered trigger events. Appends to the
-  // active batch collector when one is draining; otherwise drains the
-  // queue's same-instant, same-tag peers behind the event (if any) and
-  // processes the batch.
-  void Dispatch(NodeId node, const TupleRef& tuple, const ProvMeta& meta,
-                bool is_arrival, uint64_t tag);
+  // Shared entry for injected and delivered trigger events of `trigger`.
+  // Appends to the active batch collector when one is draining; otherwise
+  // drains the queue's same-instant, same-tag peers behind the event (if
+  // any) and processes the batch.
+  void Dispatch(NodeId node, const Trigger& trigger, const TupleRef& tuple,
+                const ProvMeta& meta, bool is_arrival, uint64_t tag);
   // Phase A: per-rule evaluation over the whole batch (pure; reads dbs_
   // only). Phase B: per event in batch order, pre-hooks then firing
   // emission — the exact tuple-at-a-time sequence of recorder calls and
-  // sends.
-  void ProcessBatch(NodeId node, std::vector<PendingEvent>& batch);
+  // sends. Every event of the batch is of `trigger`'s relation.
+  void ProcessBatch(NodeId node, const Trigger& trigger,
+                    std::vector<PendingEvent>& batch);
   // OnArrival (arrivals) / OnInject (injections, returns the meta).
   ProvMeta RunEventHook(NodeId node, const TupleRef& tuple,
                         const ProvMeta& meta, bool is_arrival);
-  // Routes one rule firing: counters, head validation, OnRuleFired, then
-  // send/output.
-  void EmitFiring(NodeId node, const Rule& rule, const TupleRef& tuple,
+  // Routes one firing of program rule `rule_index`: counters, head
+  // validation, OnRuleFired, then send/output.
+  void EmitFiring(NodeId node, size_t rule_index, const TupleRef& tuple,
                   const ProvMeta& meta, RuleFiring& f);
-  // Batch tag for deliveries of `relation` at `node`; 0 when `relation`
-  // triggers no rule or batching is off.
-  uint64_t BatchTagFor(NodeId node, const std::string& relation) const;
+  // Batch tag for deliveries of `trigger`'s relation at `node`; 0 when
+  // `trigger` is null (the relation triggers no rule) or batching is off.
+  uint64_t BatchTagFor(NodeId node, const Trigger* trigger) const;
+  // The trigger of `relation`, or null when it triggers no rule.
+  const Trigger* TriggerOf(const std::string& relation) const;
 
   void EmitOutput(NodeId node, const TupleRef& tuple, const ProvMeta& meta);
-  void SendEvent(NodeId from, const TupleRef& tuple, const ProvMeta& meta);
+  // Ships `tuple` to its location; `trigger` is its relation's (null for
+  // a terminal head materialized remotely).
+  void SendEvent(NodeId from, const TupleRef& tuple, const ProvMeta& meta,
+                 const Trigger* trigger);
   std::vector<uint8_t> EncodeEventPayload(const Tuple& tuple,
                                           const ProvMeta& meta) const;
   // Simulated time at `node`'s shard (== queue_->now() unsharded). Inside
@@ -197,9 +210,13 @@ class System {
   ReplayLog* replay_log_ = nullptr;
   bool batch_eval_ = true;
   ShardEngine* engine_ = nullptr;
-  // Trigger relations -> batch tag ordinal (>= 1), computed once at
-  // construction; read-only afterwards.
-  std::map<std::string, uint64_t> batch_relation_ids_;
+  // Trigger relation -> its ordinal and rules, computed once at
+  // construction; read-only afterwards (map nodes never move, so the
+  // pointers below stay valid).
+  std::map<std::string, Trigger> triggers_;
+  // Per program rule: the trigger its head relation is, or null when the
+  // head is terminal.
+  std::vector<const Trigger*> head_triggers_;
   // The batch collector active on this thread, if any: DrainAtTime runs
   // peers' queue entries whose Dispatch must append here instead of
   // processing. Thread-local because shard workers batch independently.

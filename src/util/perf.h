@@ -23,7 +23,10 @@ namespace dpc {
 // Aggregated snapshot of the identity counters (plain values; copyable,
 // subtractable). This is the type measurement windows work with.
 struct IdentityCounters {
-  // SHA-1 Finish() calls, process-wide (VIDs, RIDs, content keys, ...).
+  // SHA-1 Finish() calls, process-wide: the digests the storage model
+  // names rows and tuples by (VIDs, RIDs, equivalence keys, ...). Table
+  // rows are deduplicated by comparison, not by a digest of their
+  // content, so row inserts add nothing here.
   uint64_t sha1_invocations = 0;
   // Bytes appended by Tuple::Serialize (wire messages, digests, stores).
   uint64_t tuple_bytes_serialized = 0;

@@ -1,6 +1,16 @@
 // From-scratch SHA-1 (FIPS 180-1). The paper's storage model identifies
 // tuples (VIDs) and rule executions (RIDs) by SHA-1 digests; we reproduce
 // that faithfully so serialized table sizes match the paper's accounting.
+//
+// Two compression blocks compute the same function. On x86-64 CPUs with
+// the SHA extensions (CPUID leaf 7 EBX bit 29, plus SSSE3 and SSE4.1) a
+// block written with the sha1rnds4/sha1nexte/sha1msg1/sha1msg2 intrinsics
+// runs; it is compiled with a function `target` attribute, so the rest of
+// the build keeps its baseline flags. Every other CPU runs the portable
+// block. The choice is made once, from CPUID, the first time a hasher is
+// built; Sha1::BlockName() reports it. Both blocks take a run of whole
+// 64-byte blocks per call, so Update() hands each run of input over at
+// once and Finish() pads and compresses its tail in a single call.
 #ifndef DPC_UTIL_SHA1_H_
 #define DPC_UTIL_SHA1_H_
 
@@ -31,10 +41,26 @@ struct Sha1Digest {
   bool IsZero() const;
 };
 
+namespace sha1_internal {
+
+// Compresses `n` consecutive 64-byte blocks into the five-word state.
+using BlockFn = void (*)(uint32_t state[5], const uint8_t* blocks, size_t n);
+
+void PortableBlock(uint32_t state[5], const uint8_t* blocks, size_t n);
+// The SHA-extension block, or null where it is not compiled (non-x86-64).
+// Call it only when CpuHasShaExt() is true.
+BlockFn ShaExtBlock();
+bool CpuHasShaExt();
+
+}  // namespace sha1_internal
+
 // Incremental SHA-1 hasher.
 class Sha1 {
  public:
+  // Uses the compression block selected for this CPU.
   Sha1();
+  // Uses `block` instead. Test seam: lets one process check both blocks.
+  explicit Sha1(sha1_internal::BlockFn block);
 
   // Appends `data` to the message.
   void Update(const void* data, size_t len);
@@ -50,12 +76,16 @@ class Sha1 {
   static Sha1Digest Hash(std::string_view data);
   static Sha1Digest Hash(const void* data, size_t len);
 
- private:
-  void ProcessBlock(const uint8_t* block);
+  // The compression block this CPU runs: "sha-ext" or "portable".
+  static const char* BlockName();
 
+ private:
+  sha1_internal::BlockFn block_;
   uint32_t h_[5];
   uint64_t total_len_ = 0;
-  uint8_t buffer_[64];
+  // Update() fills the first 64 bytes; Finish() pads into the second
+  // block when the length field does not fit after the tail.
+  uint8_t buffer_[128];
   size_t buffer_len_ = 0;
 };
 
