@@ -7,8 +7,11 @@
 // rates) it generated. The report names the SHA-1 compression block this
 // CPU selected ("sha1_path": "sha-ext" or "portable") and times a digest
 // on every block the CPU can run, so numbers from hosts with and without
-// the SHA extensions can be told apart. Prints a JSON report; the
-// checked-in snapshot lives at BENCH_hotpath.json.
+// the SHA extensions can be told apart. The simulator cases time event
+// dispatch from a preloaded queue and in a steady state (a few events in
+// flight, each scheduling the next), and per-hop network delivery.
+// Prints a JSON report; the checked-in snapshot lives at
+// BENCH_hotpath.json.
 //
 // Scale knobs: DPC_PAIRS, DPC_RATE, DPC_DURATION; sharded-runtime case:
 // DPC_SHARDS, DPC_SHARD_PAIRS, DPC_SHARD_RATE, DPC_SHARD_DURATION.
@@ -20,6 +23,8 @@
 
 #include "src/apps/experiments.h"
 #include "src/net/event_queue.h"
+#include "src/net/network.h"
+#include "src/net/transit_stub.h"
 #include "src/obs/trace.h"
 #include "src/util/hash.h"
 #include "src/util/logging.h"
@@ -220,6 +225,106 @@ DispatchCase BenchQueueDispatch(size_t events) {
   return res;
 }
 
+// Steady state: `in_flight` chains, each event scheduling its successor,
+// so the heap stays shallow and every dispatch pays for one schedule —
+// the shape of a running simulation rather than a preloaded queue.
+double SteadyDispatchNsPerEvent(size_t events, size_t in_flight) {
+  struct Tick {
+    EventQueue* q;
+    size_t* fired;
+    size_t limit;
+    void operator()() const {
+      if (++*fired < limit) q->ScheduleAfter(1e-6, Tick(*this));
+    }
+  };
+  EventQueue q;
+  size_t fired = 0;
+  for (size_t i = 0; i < in_flight; ++i) {
+    q.ScheduleAt(static_cast<double>(i) * 1e-7, Tick{&q, &fired, events});
+  }
+  auto start = std::chrono::steady_clock::now();
+  q.RunAll();
+  auto end = std::chrono::steady_clock::now();
+  DPC_CHECK(fired >= events);
+  return Seconds(start, end) * 1e9 / static_cast<double>(fired);
+}
+
+// --- network: per-hop delivery -----------------------------------------------
+
+struct NetworkHopCase {
+  double query_ns_per_traversal = 0;
+  double event_ns_per_message = 0;
+};
+
+// Delivers `messages` messages from `make(i)` through a lossless Network,
+// 64 in flight at a time, and returns the ns spent in Send and in every
+// hop's dispatch (building the messages is not timed).
+template <typename MakeFn>
+double TimeDelivery(const Topology& graph, size_t messages, MakeFn make) {
+  constexpr size_t kInFlight = 64;
+  EventQueue q;
+  Network net(&graph, &q);
+  uint64_t delivered = 0;
+  net.SetDeliveryHandler([&delivered](const Message&) { ++delivered; });
+  std::vector<Message> batch;
+  double ns = 0;
+  for (size_t sent = 0; sent < messages; sent += batch.size()) {
+    batch.clear();
+    for (size_t i = sent; i < messages && batch.size() < kInFlight; ++i) {
+      batch.push_back(make(i));
+    }
+    auto start = std::chrono::steady_clock::now();
+    for (Message& m : batch) net.Send(std::move(m));
+    q.RunAll();
+    ns += Seconds(start, std::chrono::steady_clock::now()) * 1e9;
+  }
+  DPC_CHECK(delivered == messages);
+  return ns;
+}
+
+// Per-hop delivery on the paper's transit-stub topology. The query-like
+// case models distributed-query frames (an 8-byte payload plus 300 bytes
+// of modeled padding) between random node pairs and reports ns per link
+// traversal; the event case sends 560-byte event messages across one link
+// and reports ns per message.
+NetworkHopCase BenchNetworkHop(size_t messages) {
+  TransitStubTopology topo = MakeTransitStub();
+  const Topology& graph = topo.graph;
+  std::vector<std::pair<NodeId, NodeId>> links;
+  graph.ForEachLink(
+      [&](NodeId a, NodeId b, const LinkProps&) { links.emplace_back(a, b); });
+  const uint64_t n = static_cast<uint64_t>(graph.num_nodes());
+  Rng rng(20170514);
+
+  NetworkHopCase res;
+  uint64_t traversals = 0;
+  double ns = TimeDelivery(graph, messages, [&](size_t i) {
+    Message m;
+    m.kind = MessageKind::kQuery;
+    m.src = static_cast<NodeId>(rng.NextBelow(n));
+    do {
+      m.dst = static_cast<NodeId>(rng.NextBelow(n));
+    } while (m.dst == m.src);
+    m.payload.assign(8, static_cast<uint8_t>(i));
+    m.padding = 300;
+    traversals += static_cast<uint64_t>(graph.Distance(m.src, m.dst));
+    return m;
+  });
+  res.query_ns_per_traversal = ns / static_cast<double>(traversals);
+
+  ns = TimeDelivery(graph, messages, [&](size_t i) {
+    const auto& [a, b] = links[rng.NextBelow(links.size())];
+    Message m;
+    m.kind = MessageKind::kEvent;
+    m.src = a;
+    m.dst = b;
+    m.payload.assign(560, static_cast<uint8_t>(i));
+    return m;
+  });
+  res.event_ns_per_message = ns / static_cast<double>(messages);
+  return res;
+}
+
 // --- end-to-end: fig09-style forwarding run ---------------------------------
 
 struct EndToEndCase {
@@ -332,6 +437,11 @@ int Main() {
   std::vector<Sha1BlockCase> blocks = BenchSha1Blocks(tuples, 2000);
   DispatchCase dispatch =
       BenchQueueDispatch(apps::EnvSize("DPC_DISPATCH_EVENTS", 200000));
+  constexpr size_t kInFlight = 16;
+  double steady_ns =
+      SteadyDispatchNsPerEvent(apps::EnvSize("DPC_DISPATCH_EVENTS", 200000),
+                               kInFlight);
+  NetworkHopCase hop = BenchNetworkHop(/*messages=*/50000);
 
   size_t pairs = apps::EnvSize("DPC_PAIRS", 20);
   double rate = apps::EnvDouble("DPC_RATE", 10);
@@ -365,6 +475,12 @@ int Main() {
               "\"tracing_on_ns_per_event\": %.1f, \"overhead_pct\": %.1f},\n",
               dispatch.off_ns_per_event, dispatch.on_ns_per_event,
               dispatch.overhead_pct);
+  std::printf("  \"queue_steady_dispatch\": {\"in_flight\": %zu, "
+              "\"ns_per_event\": %.1f},\n",
+              kInFlight, steady_ns);
+  std::printf("  \"network_hop\": {\"query_frame_ns_per_traversal\": %.1f, "
+              "\"event_560b_ns_per_message\": %.1f},\n",
+              hop.query_ns_per_traversal, hop.event_ns_per_message);
   std::printf("  \"fig09\": {\"pairs\": %zu, \"rate_pps\": %.0f, "
               "\"duration_s\": %.0f, \"schemes\": [\n",
               pairs, rate, duration);

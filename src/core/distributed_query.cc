@@ -10,9 +10,35 @@
 namespace dpc {
 
 struct DistributedQuerier::Impl {
-  explicit Impl(QueryWalk w) : walk(std::move(w)) {}
+  explicit Impl(QueryWalk w) : walk(std::move(w)) {
+    MetricsRegistry& reg = GlobalMetrics();
+    metrics.started = &reg.GetCounter("query.started");
+    metrics.completed = &reg.GetCounter("query.completed");
+    metrics.failed = &reg.GetCounter("query.failed");
+    metrics.deadline_exceeded = &reg.GetCounter("query.deadline_exceeded");
+    metrics.malformed_messages = &reg.GetCounter("query.malformed_messages");
+    metrics.unknown_continuations =
+        &reg.GetCounter("query.unknown_continuations");
+    metrics.duplicate_responses = &reg.GetCounter("query.duplicate_responses");
+    metrics.latency_s = &reg.GetHistogram("query.latency_s");
+    metrics.hops = &reg.GetHistogram("query.hops");
+  }
 
   QueryWalk walk;
+
+  // Resolved once: a by-name lookup takes the registry mutex, walks its
+  // map and allocates the name, and queries and frames are hot.
+  struct Metrics {
+    Counter* started;
+    Counter* completed;
+    Counter* failed;
+    Counter* deadline_exceeded;
+    Counter* malformed_messages;
+    Counter* unknown_continuations;
+    Counter* duplicate_responses;
+    Histogram* latency_s;
+    Histogram* hops;
+  } metrics;
 
   // One in-flight query; the walk charges its reads here.
   struct Ctx final : QueryMeter {
@@ -108,16 +134,14 @@ Status DistributedQuerier::HandleMessage(const Message& msg) {
   ByteReader r(msg.payload);
   auto id = r.GetU64();
   if (!id.ok()) {
-    GlobalMetrics().GetCounter("query.malformed_messages").IncrementAt(msg.dst);
+    impl_->metrics.malformed_messages->IncrementAt(msg.dst);
     return Status::InvalidArgument("malformed query frame from node " +
                                    std::to_string(msg.src) + ": " +
                                    id.status().ToString());
   }
   auto it = continuations_.find(*id);
   if (it == continuations_.end()) {
-    GlobalMetrics()
-        .GetCounter("query.unknown_continuations")
-        .IncrementAt(msg.dst);
+    impl_->metrics.unknown_continuations->IncrementAt(msg.dst);
     return Status::NotFound("unknown query continuation " +
                             std::to_string(*id) + " from node " +
                             std::to_string(msg.src));
@@ -153,6 +177,7 @@ struct Protocol {
   std::unordered_map<uint64_t, DistributedQuerier::Continuation>*
       continuations;
   uint64_t* next_id;
+  const DistributedQuerier::Impl::Metrics* metrics;
 
   using Ctx = DistributedQuerier::Impl::Ctx;
   using CtxPtr = DistributedQuerier::Impl::CtxPtr;
@@ -164,13 +189,12 @@ struct Protocol {
   void Finish(const CtxPtr& ctx, Result<QueryResult> res) {
     if (ctx->completed) return;
     ctx->completed = true;
-    MetricsRegistry& reg = GlobalMetrics();
     if (res.ok()) {
-      reg.GetCounter("query.completed").IncrementAt(ctx->origin);
-      reg.GetHistogram("query.latency_s").Observe(res->latency_s);
-      reg.GetHistogram("query.hops").Observe(res->hops);
+      metrics->completed->IncrementAt(ctx->origin);
+      metrics->latency_s->Observe(res->latency_s);
+      metrics->hops->Observe(res->hops);
     } else {
-      reg.GetCounter("query.failed").IncrementAt(ctx->origin);
+      metrics->failed->IncrementAt(ctx->origin);
     }
     if (Trace().enabled()) {
       Trace().AsyncEnd(ctx->origin, TraceCat::kQuery, "query", ctx->qid,
@@ -239,9 +263,7 @@ struct Protocol {
       // frame whose first copy already finished this query. A peer (or
       // the network) can provoke this at will, so it must be a counted
       // no-op rather than a DPC_CHECK abort.
-      GlobalMetrics()
-          .GetCounter("query.duplicate_responses")
-          .IncrementAt(ctx->origin);
+      metrics->duplicate_responses->IncrementAt(ctx->origin);
       return;
     }
     if (--ctx->pending > 0) return;
@@ -477,9 +499,15 @@ void DistributedQuerier::QueryAsync(const Tuple& output, const Vid* evid,
     MessageChannel* chan =
         transport_ != nullptr ? static_cast<MessageChannel*>(transport_.get())
                               : &net_;
-    auto* proto = new Protocol{this,  topology_,       queue_,
-                               chan,  &cost_,          &impl_->walk,
-                               &continuations_, &next_continuation_};
+    auto* proto = new Protocol{this,
+                               topology_,
+                               queue_,
+                               chan,
+                               &cost_,
+                               &impl_->walk,
+                               &continuations_,
+                               &next_continuation_,
+                               &impl_->metrics};
     impl_->protocol = std::shared_ptr<void>(
         proto, [](void* p) { delete static_cast<Protocol*>(p); });
   }
@@ -487,7 +515,7 @@ void DistributedQuerier::QueryAsync(const Tuple& output, const Vid* evid,
   ctx->qid = next_query_id_++;
   queue_->ScheduleAt(when, [this, proto, ctx]() {
     ctx->start = queue_->now();
-    GlobalMetrics().GetCounter("query.started").IncrementAt(ctx->origin);
+    impl_->metrics.started->IncrementAt(ctx->origin);
     if (Trace().enabled()) {
       Trace().AsyncBegin(ctx->origin, TraceCat::kQuery, "query", ctx->qid,
                          "\"output\": \"" + ctx->output.relation() + "\"");
@@ -498,12 +526,16 @@ void DistributedQuerier::QueryAsync(const Tuple& output, const Vid* evid,
     // The deadline completes the callback even when loss or a partition
     // orphans every branch; stragglers finishing later are dropped by
     // the `completed` guard.
-    queue_->ScheduleAt(when + deadline_s, [ctx, deadline_s]() {
+    // The counters belong to the process-wide registry, so the event
+    // keeps working if it outlives this querier.
+    queue_->ScheduleAt(when + deadline_s,
+                       [ctx, deadline_s,
+                        exceeded = impl_->metrics.deadline_exceeded,
+                        failed = impl_->metrics.failed]() {
       if (ctx->completed) return;
       ctx->completed = true;
-      MetricsRegistry& reg = GlobalMetrics();
-      reg.GetCounter("query.deadline_exceeded").IncrementAt(ctx->origin);
-      reg.GetCounter("query.failed").IncrementAt(ctx->origin);
+      exceeded->IncrementAt(ctx->origin);
+      failed->IncrementAt(ctx->origin);
       if (Trace().enabled()) {
         Trace().AsyncEnd(ctx->origin, TraceCat::kQuery, "query", ctx->qid,
                          "\"outcome\": \"deadline_exceeded\"");

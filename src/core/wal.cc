@@ -5,6 +5,7 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 #endif
 
@@ -34,7 +35,22 @@ Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
     }
     return IoError("open", path);
   }
-  std::vector<uint8_t> bytes;
+  // One buffer sized from the file and one read: growing the buffer by
+  // fixed-size inserts reallocates it at every doubling, and past the
+  // allocator's mmap threshold each reallocation maps and faults in fresh
+  // pages.
+  size_t size_hint = 0;
+#if defined(__unix__) || defined(__APPLE__)
+  struct stat st {};
+  if (::fstat(fileno(f), &st) == 0 && st.st_size > 0) {
+    size_hint = static_cast<size_t>(st.st_size);
+  }
+#endif
+  std::vector<uint8_t> bytes(size_hint);
+  if (!bytes.empty()) {
+    bytes.resize(std::fread(bytes.data(), 1, bytes.size(), f));
+  }
+  // The file may have grown since fstat: read on to EOF.
   uint8_t buf[1 << 16];
   size_t n;
   while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {

@@ -35,7 +35,8 @@ uint64_t FnvZeros(uint64_t h, uint64_t n) {
 
 // FNV-1a over the message identity fields and its wire bytes (payload,
 // then the modeled zero padding), for sends that did not assign a tx_id
-// themselves. `| 1` keeps 0 meaning "unassigned".
+// themselves. Only a loss draw reads it. `| 1` keeps 0 meaning
+// "unassigned".
 uint64_t ContentTxId(const Message& msg) {
   uint64_t h = 1469598103934665603ULL;
   auto mix_byte = [&h](uint8_t b) {
@@ -85,7 +86,7 @@ SimTime Network::SimNow() const {
 }
 
 void Network::ScheduleAtNodeAfter(NodeId node, double delay,
-                                  std::function<void()> fn, uint64_t tag) {
+                                  EventQueue::Callback fn, uint64_t tag) {
   SimTime t = SimNow() + delay;
   if (engine_ != nullptr) {
     engine_->ScheduleAtNode(node, t, std::move(fn), tag);
@@ -108,7 +109,6 @@ void Network::ChargeBytes(ShardAccount& acct, double time, size_t bytes) {
 void Network::Send(Message msg) {
   DPC_CHECK(msg.src >= 0 && msg.src < topology_->num_nodes());
   DPC_CHECK(msg.dst >= 0 && msg.dst < topology_->num_nodes());
-  if (msg.tx_id == 0) msg.tx_id = ContentTxId(msg);
   ++AccountFor(msg.src).messages;
   if (msg.src == msg.dst) {
     uint64_t tag = msg.batch_tag;
@@ -127,6 +127,12 @@ void Network::SetLossRate(double rate, uint64_t seed) {
   DPC_CHECK(rate >= 0 && rate < 1);
   loss_rate_ = rate;
   loss_seed_ = seed;
+  UpdateFaults();
+}
+
+void Network::UpdateFaults() {
+  faults_ = loss_rate_ > 0 || !link_loss_.empty() || !links_down_.empty() ||
+            !partition_.empty();
 }
 
 Status Network::CheckLink(NodeId a, NodeId b) const {
@@ -143,6 +149,7 @@ Status Network::SetLinkLossRate(NodeId a, NodeId b, double rate) {
     return Status::InvalidArgument("loss rate must be in [0, 1)");
   }
   link_loss_[PackPair(a, b)] = rate;
+  UpdateFaults();
   return Status::OK();
 }
 
@@ -153,6 +160,7 @@ Status Network::SetLinkUp(NodeId a, NodeId b, bool up) {
   } else {
     links_down_.insert(PackPair(a, b));
   }
+  UpdateFaults();
   return Status::OK();
 }
 
@@ -175,6 +183,7 @@ Status Network::SetPartition(std::vector<int> group_of_node) {
         "partition vector must name a group per node");
   }
   partition_ = std::move(group_of_node);
+  UpdateFaults();
   return Status::OK();
 }
 
@@ -190,14 +199,17 @@ void Network::SchedulePartition(std::vector<int> group_of_node, SimTime at) {
   }
 }
 
-bool Network::TraversalDropped(NodeId at, NodeId next,
-                               const Message& msg) const {
+bool Network::TraversalDropped(NodeId at, NodeId next, Message& msg) const {
+  if (!faults_) return false;
   if (links_down_.count(PackPair(at, next)) > 0) return true;
   if (!partition_.empty() && partition_[at] != partition_[next]) return true;
   double rate = loss_rate_;
   auto it = link_loss_.find(PackPair(at, next));
   if (it != link_loss_.end()) rate = it->second;
   if (rate <= 0) return false;
+  // The content never changes along the path, so the id derived at the
+  // first draw is the one every later hop of this transmission would get.
+  if (msg.tx_id == 0) msg.tx_id = ContentTxId(msg);
   // Deterministic draw: a pure function of (seed, transmission, directed
   // hop), so the same traversal drops — or survives — regardless of what
   // other traffic exists or how nodes are sharded.
@@ -230,16 +242,18 @@ void Network::Forward(Message msg, NodeId at) {
   // Only the final hop — the entry that invokes the delivery handler — is
   // tagged; intermediate Forward hops never join a batch.
   uint64_t tag = next == msg.dst ? msg.batch_tag : 0;
-  ScheduleAtNodeAfter(
-      next, delay,
-      [this, m = std::move(msg), next]() mutable {
-        if (next == m.dst) {
-          if (handler_) handler_(m);
-        } else {
-          Forward(std::move(m), next);
-        }
-      },
-      tag);
+  auto hop = [this, m = std::move(msg), next]() mutable {
+    if (next == m.dst) {
+      if (handler_) handler_(m);
+    } else {
+      Forward(std::move(m), next);
+    }
+  };
+  // The closure carries the whole Message: if a new field outgrows the
+  // queue's inline buffer, every hop would heap-allocate again.
+  static_assert(QueueCallback::kFitsInline<decltype(hop)>,
+                "the per-hop closure must fit EventQueue's inline storage");
+  ScheduleAtNodeAfter(next, delay, std::move(hop), tag);
 }
 
 void Network::Broadcast(NodeId from, Message msg) {

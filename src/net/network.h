@@ -14,6 +14,10 @@
 // by its owning worker) merged on read. Loss draws are a pure hash of
 // (seed, tx_id, link) — no shared RNG stream — so the set of dropped
 // traversals is identical at any shard count.
+//
+// Each link traversal is one queue event whose closure carries the whole
+// Message inline (EventQueue's QueueCallback), so forwarding allocates
+// nothing per hop.
 #ifndef DPC_NET_NETWORK_H_
 #define DPC_NET_NETWORK_H_
 
@@ -47,9 +51,13 @@ struct Message {
   NodeId dst = kNullNode;
   // Simulation-local transmission identity keying the deterministic loss
   // draw for each link traversal. Not serialized and not charged to
-  // WireSize. 0 = unassigned: Send derives one from the message content.
-  // ReliableTransport assigns a fresh id per (seq, attempt) so a
-  // retransmission of identical bytes gets an independent draw.
+  // WireSize. 0 = unassigned: the first traversal that draws for loss
+  // derives one from the message content (kind, src, dst, payload and
+  // padding) and stores it here, so byte-identical raw sends share one
+  // loss fate. A message that never meets a lossy link is never hashed and
+  // is delivered with tx_id still 0. ReliableTransport assigns a fresh id
+  // per (seq, attempt) so a retransmission of identical bytes gets an
+  // independent draw.
   uint64_t tx_id = 0;
   // Simulation-local batch tag (not serialized, no wire cost): nonzero on
   // kEvent messages whose delivery may join a same-instant set-at-a-time
@@ -190,17 +198,21 @@ class Network : public MessageChannel {
   void Forward(Message msg, NodeId at);
   void ChargeBytes(ShardAccount& acct, double time, size_t bytes);
   // True when fault injection says this traversal never arrives. Pure in
-  // (fault state, msg.tx_id, at, next).
-  bool TraversalDropped(NodeId at, NodeId next, const Message& msg) const;
+  // (fault state, msg content or tx_id, at, next). Fills in an unassigned
+  // msg.tx_id at the first loss draw; with no fault configured it returns
+  // before any lookup.
+  bool TraversalDropped(NodeId at, NodeId next, Message& msg) const;
   Status CheckLink(NodeId a, NodeId b) const;
+  // Recomputes faults_ after any fault-state change.
+  void UpdateFaults();
   ShardAccount& AccountFor(NodeId at);
   // Simulated time in the calling context: the executing shard's clock on
   // a worker, the engine's global clock (or queue time) otherwise.
   SimTime SimNow() const;
   // Schedules `fn` at SimNow() + delay on the shard owning `node`,
   // carrying `tag` as the queue entry's batch tag.
-  void ScheduleAtNodeAfter(NodeId node, double delay,
-                           std::function<void()> fn, uint64_t tag = 0);
+  void ScheduleAtNodeAfter(NodeId node, double delay, EventQueue::Callback fn,
+                           uint64_t tag = 0);
 
   const Topology* topology_;
   EventQueue* queue_;
@@ -217,6 +229,9 @@ class Network : public MessageChannel {
   std::unordered_map<uint64_t, double> link_loss_;
   std::unordered_set<uint64_t> links_down_;
   std::vector<int> partition_;  // empty = no partition
+  // False while no loss rate, link loss, down link or partition is set:
+  // then no traversal can drop and TraversalDropped looks nothing up.
+  bool faults_ = false;
 };
 
 }  // namespace dpc

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <vector>
+
 namespace dpc {
 namespace {
 
@@ -247,20 +251,43 @@ TEST_F(NetworkTest, LossIsAPureFunctionOfTransmissionIdentity) {
 }
 
 TEST_F(NetworkTest, SendDerivesTxIdFromContent) {
-  // Unassigned tx_id (0) is filled in from the message content, so
-  // byte-identical raw sends share one loss fate and distinct payloads
-  // draw independently.
-  std::vector<uint64_t> seen;
+  // Send leaves an unassigned tx_id (0) alone: only a loss draw reads it,
+  // so a message that crosses no lossy link is delivered with tx_id 0.
+  std::vector<uint64_t> lossless;
   net_->SetDeliveryHandler(
-      [&](const Message& m) { seen.push_back(m.tx_id); });
-  net_->Send(MakeMsg(0, 3, 10));
+      [&](const Message& m) { lossless.push_back(m.tx_id); });
   net_->Send(MakeMsg(0, 3, 10));
   net_->Send(MakeMsg(0, 3, 25));
   queue_.RunAll();
-  ASSERT_EQ(seen.size(), 3u);
-  EXPECT_NE(seen[0], 0u);
-  EXPECT_EQ(seen[0], seen[1]);  // same bytes, same identity
-  EXPECT_NE(seen[0], seen[2]);  // different payload, different identity
+  EXPECT_EQ(lossless, (std::vector<uint64_t>{0, 0}));
+
+  // Under loss the first draw derives the id from the message content,
+  // so byte-identical raw sends share one loss fate and distinct payloads
+  // draw independently.
+  constexpr size_t kPayloads = 32;
+  constexpr int kCopies = 4;
+  std::map<size_t, int> copies_delivered;  // payload length -> copies
+  std::map<size_t, std::set<uint64_t>> ids;
+  net_->SetDeliveryHandler([&](const Message& m) {
+    ++copies_delivered[m.payload.size()];
+    ids[m.payload.size()].insert(m.tx_id);
+  });
+  net_->SetLossRate(0.2, /*seed=*/11);
+  for (size_t len = 1; len <= kPayloads; ++len) {
+    for (int c = 0; c < kCopies; ++c) net_->Send(MakeMsg(0, 3, len));
+  }
+  queue_.RunAll();
+  EXPECT_GT(copies_delivered.size(), 0u);
+  EXPECT_LT(copies_delivered.size(), kPayloads);
+  std::set<uint64_t> distinct;
+  for (const auto& [len, n] : copies_delivered) {
+    EXPECT_EQ(n, kCopies) << "payload " << len;  // all copies or none
+    ASSERT_EQ(ids[len].size(), 1u);  // same bytes, same identity
+    EXPECT_NE(*ids[len].begin(), 0u);
+    distinct.insert(*ids[len].begin());
+  }
+  // Different payload, different identity.
+  EXPECT_EQ(distinct.size(), copies_delivered.size());
 }
 
 TEST(MessageTest, WireSizeIncludesHeader) {
